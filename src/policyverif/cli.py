@@ -26,7 +26,7 @@ from .engine import (
     diff as compute_diff,
     verify,
 )
-from .errors import PolicyVerifError
+from .errors import PolicyVerifError, ScenarioSyntaxError
 from .dot import export_dot
 from .graph import Policy, make_policy
 from .invariants import (
@@ -125,7 +125,11 @@ def diff_to_data(result: PolicyDiff) -> dict:
 
 def _load(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            document = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioSyntaxError(f"file is not UTF-8 text ({exc.reason})") from None
+    return parse_scenario(document)
 
 
 # ---------------------------------------------------------------------------

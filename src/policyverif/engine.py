@@ -19,7 +19,6 @@ from .invariants import (
     InvariantInstance,
     Strategy,
     check_deny_all_validity,
-    eval_instance,
     offenders,
     offending_flows,
 )
@@ -67,17 +66,21 @@ class VerificationReport:
 
 
 def verify(scenario: Scenario, edge_bound: int = DEFAULT_EDGE_BOUND) -> VerificationReport:
-    """Evaluate every invariant and collect offending flows and hosts."""
+    """Analyse every invariant once and collect offending flows and hosts.
+
+    Under the deny-all validity that :class:`Scenario` admission guarantees,
+    an invariant holds exactly when it has no repair sets.
+    """
     results = []
     for inst in scenario.invariants:
         sets = offending_flows(inst, scenario.policy, edge_bound)
         sets = sorted(sets, key=lambda fs: (len(fs), sorted(fs)))
-        blamed = frozenset().union(*(offenders(inst, fs) for fs in sets)) if sets else frozenset()
+        blamed = frozenset().union(*(offenders(inst, fs) for fs in sets))
         results.append(
             InvariantResult(
                 name=inst.template.name,
                 strategy=inst.template.strategy,
-                holds=eval_instance(inst, scenario.policy),
+                holds=not sets,
                 offending=tuple(sets),
                 offender_hosts=blamed,
             )
@@ -105,10 +108,9 @@ def construct_max_policy(
     """
     current = allow_all(hosts)
     for inst in invariants:
-        removal = set()
-        for flow_set in offending_flows(inst, current, edge_bound):
-            removal.update(flow_set)
-        removal = {(s, r) for s, r in removal if s != r}
+        removal = {
+            (s, r) for fs in offending_flows(inst, current, edge_bound) for s, r in fs if s != r
+        }
         if removal:
             current = current.without_flows(removal)
     return current

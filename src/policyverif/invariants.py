@@ -7,11 +7,11 @@ attribute used to complete partial configurations.  Everything in this
 module works for arbitrary templates; the concrete ones live in
 :mod:`policyverif.templates`.
 
-Two routes compute the sets of offending flows (minimal repair options for a
-violated invariant): a direct subset enumeration, exponential in the number
-of flows, and a linear fast path for templates whose predicate decomposes
-into a per-edge check.  The test suite holds the two routes to exact
-agreement on bounded instances.
+Offending flows (minimal repair options for a violated invariant) come from
+a linear fast path for templates whose predicate decomposes into a per-edge
+check, else from a subset enumeration exponential in the number of flows.
+Tests hold the two to exact agreement.  verify, construct and the
+secure-default checker share that route; the blame rule lives in offenders.
 """
 
 from __future__ import annotations
@@ -55,6 +55,15 @@ class EdgePredicate(Generic[A]):
     predicate: Callable[[A, A], bool]
     exempt_reflexive: bool = False
 
+    def _failing_flows(self, g: Policy, mapping: HostMapping) -> Iterator[Flow]:
+        """The flows of ``g`` whose endpoint attributes fail the check, lazily."""
+        get = mapping.entries.get
+        dft = mapping.default
+        check = self.predicate
+        if self.exempt_reflexive:
+            return ((s, r) for s, r in g.flows if s != r and not check(get(s, dft), get(r, dft)))
+        return ((s, r) for s, r in g.flows if not check(get(s, dft), get(r, dft)))
+
 
 @dataclass(frozen=True)
 class Template(Generic[A]):
@@ -62,8 +71,8 @@ class Template(Generic[A]):
 
     ``evaluate`` must be a pure, deterministic predicate, monotone in the
     flow set (removing flows never breaks a satisfied invariant), and true
-    on every flow-less policy.  The last two points are property-tested,
-    not assumed; templates violating them are rejected at scenario load.
+    on every flow-less policy.  Scenario loading checks only the last point;
+    monotonicity is the caller's contract, testable by check_monotonicity.
     """
 
     name: str
@@ -85,21 +94,12 @@ def edge_template(
     Deriving ``evaluate`` from the predicate keeps the fast offending-flows
     path and the evaluation semantics consistent by construction.
     """
-    if exempt_reflexive:
+    edge = EdgePredicate(predicate, exempt_reflexive)
 
-        def evaluate(g: Policy, mapping: HostMapping) -> bool:
-            get = mapping.entries.get
-            dft = mapping.default
-            return all(predicate(get(s, dft), get(r, dft)) for s, r in g.flows if s != r)
+    def evaluate(g: Policy, mapping: HostMapping) -> bool:
+        return next(edge._failing_flows(g, mapping), None) is None
 
-    else:
-
-        def evaluate(g: Policy, mapping: HostMapping) -> bool:
-            get = mapping.entries.get
-            dft = mapping.default
-            return all(predicate(get(s, dft), get(r, dft)) for s, r in g.flows)
-
-    return Template(name, strategy, default_attr, evaluate, EdgePredicate(predicate, exempt_reflexive))
+    return Template(name, strategy, default_attr, evaluate, edge)
 
 
 @dataclass(frozen=True, eq=True)
@@ -180,25 +180,12 @@ def _offending_sets_bruteforce(
     return found
 
 
-def _offending_sets(
-    template: Template,
-    g: Policy,
-    mapping: HostMapping,
-    edge_bound: int,
-) -> list:
+def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bound: int) -> list:
     """Offending flows via the per-edge fast path when available."""
     pred = template.edge_pred
     if pred is None:
         return _offending_sets_bruteforce(template, g, mapping, edge_bound)
-    get = mapping.entries.get
-    dft = mapping.default
-    check = pred.predicate
-    if pred.exempt_reflexive:
-        bad = frozenset(
-            (s, r) for s, r in g.flows if s != r and not check(get(s, dft), get(r, dft))
-        )
-    else:
-        bad = frozenset((s, r) for s, r in g.flows if not check(get(s, dft), get(r, dft)))
+    bad = frozenset(pred._failing_flows(g, mapping))
     return [bad] if bad else []
 
 
@@ -291,32 +278,26 @@ def find_secure_default_counterexample(
     against every total mapping into ``attr_universe``.  Returns the first
     ``(policy, mapping, flow_set, host)`` whose violation the candidate
     masks, or None.  ``candidate`` defaults to the template's own default
-    attribute.
+    attribute.  Offending flows and hosts come from the same per-edge route
+    (or enumeration) and :func:`offenders` as in ``verify``.
 
     The search is a sound falsifier and, within the given universes, a
     verifier; it cannot speak for larger policies or attribute domains.
     """
     if candidate is None:
         candidate = template.default_attr
+    bare = InvariantInstance(template)  # offenders reads only its template
     hosts = sorted(host_universe)
-    evaluate = template.evaluate
     for g in _policies_on(hosts, edge_bound):
         for combo in itertools.product(attr_universe, repeat=len(hosts)):
             assignment = dict(zip(hosts, combo))
             mapping = HostMapping(assignment, template.default_attr)
-            if evaluate(g, mapping):
-                continue
-            repair_sets = _offending_sets_bruteforce(template, g, mapping, edge_bound)
-            blamed = set()
-            for flow_set in repair_sets:
-                if template.strategy is Strategy.ACS:
-                    blamed_here = {s for s, _ in flow_set}
-                else:
-                    blamed_here = {r for _, r in flow_set}
+            blamed = frozenset()
+            for flow_set in _offending_sets(template, g, mapping, edge_bound):
+                blamed_here = offenders(bare, flow_set)
                 for v in sorted(blamed_here - blamed):
-                    remapped = dict(assignment)
-                    remapped[v] = candidate
-                    if evaluate(g, HostMapping(remapped, template.default_attr)):
+                    remapped = HostMapping({**assignment, v: candidate}, template.default_attr)
+                    if template.evaluate(g, remapped):
                         return g, mapping, flow_set, v
                 blamed |= blamed_here
     return None

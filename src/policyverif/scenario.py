@@ -27,6 +27,7 @@ from typing import Callable
 from .engine import Scenario
 from .errors import (
     BadAttribute,
+    ScenarioError,
     ScenarioFormatError,
     ScenarioSyntaxError,
     UnknownHost,
@@ -96,6 +97,10 @@ def _parse_hosts(data) -> list:
     for index, name in enumerate(data):
         if not isinstance(name, str) or not name:
             raise ScenarioFormatError(f"hosts[{index}]", "host name must be a non-empty string")
+        try:
+            name.encode("utf-8")  # a lone surrogate escape: never printable
+        except UnicodeEncodeError:
+            raise ScenarioFormatError(f"hosts[{index}]", "host name is not valid Unicode text") from None
         if name in seen:
             raise ScenarioFormatError(f"hosts[{index}]", f"duplicate host {name!r}")
         seen.add(name)
@@ -180,6 +185,11 @@ def parse_scenario(document: str) -> Scenario:
         data = json.loads(document, object_pairs_hook=_no_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except ScenarioError:  # from the duplicate-key hook
+        raise
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an integer past the digit limit
+        raise ScenarioSyntaxError(str(exc)) from None
     return scenario_from_data(data)
 
 

@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import policyverif as pv
 from policyverif.cli import cli_main
@@ -31,9 +36,10 @@ def test_verify_missing_file_exits_two(capsys):
 
 def test_verify_bad_json_exits_two(tmp_path, capsys):
     bad = tmp_path / "broken.json"
-    bad.write_text("{nope")
-    assert cli_main(["verify", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for content in (b"{nope", b"[" * 100000 + b"]" * 100000, b"\xff{}"):
+        bad.write_bytes(content)
+        assert cli_main(["verify", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two(capsys):
@@ -174,3 +180,68 @@ def test_report_rendering_caps_display_but_not_json():
 
     data = report_to_data(report)
     assert len(data["invariants"][0]["offending"][0]) == 60
+
+
+# Documents for the exit-code fuzz test: raw bytes, deep nesting, JSON
+# garbage, and scenarios that often load and reach the analysis, with a
+# lone surrogate escape ("\ud800") among the host names
+_HOSTS = ["a", "b", "c", "\ud800"]
+_LITERALS = {
+    "blp_basic": ["unclassified", "secret"],
+    "blp_trust": [{"sc": "secret"}, {"sc": "unclassified", "trust": True}],
+    "domain_hierarchy": [{"level": "x.y"}, {"level": "y", "trust": 1}],
+    "security_gateway": ["sgw", "memb", "default"],
+    "no_transitive_access": ["src", "snk", "none"],
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(_HOSTS + sorted(_LITERALS)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _scenario_documents(draw):
+    hosts = draw(st.lists(st.sampled_from(_HOSTS), unique=True, min_size=1, max_size=4))
+    host = st.sampled_from(hosts)
+    invariants = [
+        {"template": name,
+         "attributes": draw(st.dictionaries(host, st.sampled_from(_LITERALS[name]), min_size=1))}
+        for name in draw(st.lists(st.sampled_from(sorted(_LITERALS)), min_size=1, max_size=2))
+    ]
+    document = {
+        "hosts": hosts,
+        "flows": draw(st.lists(st.tuples(host, host), unique=True, min_size=1, max_size=6)),
+        "invariants": invariants,
+    }
+    garbled = draw(st.sampled_from([None, "hosts", "flows", "invariants", "attributes"]))
+    if garbled == "attributes":
+        invariants[0]["attributes"][hosts[0]] = draw(_JSON)
+    elif garbled:
+        document[garbled] = draw(_JSON)
+    return json.dumps(document).encode()
+
+
+_DOCUMENTS = st.one_of(
+    st.binary(max_size=64),
+    st.integers(0, 3000).map(lambda n: b"[" * n + b"]" * n),
+    _JSON.map(lambda value: json.dumps(value).encode()),
+    _scenario_documents(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENTS)
+def test_verify_exit_code_contract_on_any_bytes(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_bytes(document)
+    # encoded streams, as a terminal has: printing an unencodable name fails
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["verify", str(path)])
+    assert code in (0, 1, 2)
+    if code != 2:
+        scenario = pv.parse_scenario(document.decode("utf-8"))
+        assert pv.verify(scenario).overall == (code == 0)

@@ -246,9 +246,15 @@ def test_diff_partitions_user_policy():
 @given(st.randoms(use_true_random=False))
 def test_verify_report_consistency(rng):
     g, instances = _random_scenario(rng, n_instances=2)
+    # a path invariant takes the enumeration route (at most 10 flows here)
+    roles = list(pv.ReachRole)
+    instances.append(pv.InvariantInstance(
+        pv.no_transitive_access(), {h: rng.choice(roles) for h in g.hosts if rng.random() < 0.8}
+    ))
     report = pv.verify(pv.Scenario(g, tuple(instances)))
     assert report.overall == all(r.holds for r in report.results)
-    for r in report.results:
+    for inst, r in zip(instances, report.results):
         assert r.holds == (r.offending == ())
+        assert r.holds == pv.eval_instance(inst, g)
         union = {f for fs in r.offending for f in fs}
         assert union <= g.flows

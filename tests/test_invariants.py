@@ -319,6 +319,9 @@ def test_blp_topsecret_masks_a_violation():
     remapped[host] = pv.Clearance.topsecret
     assert not pv.blp_basic().evaluate(g, mapping)
     assert pv.blp_basic().evaluate(g, pv.HostMapping(remapped, mapping.default))
+    inst = pv.InvariantInstance(pv.blp_basic(), mapping.entries)
+    assert flow_set in pv.offending_flows_bruteforce(inst, g)
+    assert host in pv.offenders(inst, flow_set)
 
 
 def test_sgw_default_role_is_secure():

@@ -97,6 +97,9 @@ def test_syntax_error_carries_position():
         '{"hosts": ["A"], "flows": [], "invariants": [{"template": "blp_basic", "oops": 1}]}',
         '{"hosts": ["A"], "flows": [], "invariants": [{"attributes": {}}]}',
         '[1, 2]',
+        '{"hosts": ["\\ud800"], "flows": [], "invariants": []}',
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
+        pytest.param("[" + "1" * 5000 + "]", id="integer-too-long"),
     ],
 )
 def test_malformed_documents_are_rejected(document):
