@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 from .errors import InvariantRejected, UnknownHost
-from .graph import Flow, FlowSet, HostId, Policy, allow_all
+from .graph import Flow, FlowSet, HostId, Policy, _derived_policy, allow_all
 from .invariants import (
     DEFAULT_EDGE_BOUND,
     InvariantInstance,
@@ -102,17 +102,32 @@ def construct_max_policy(
     unique maximum; with brute-force templates the union removal is still
     sound but may prohibit more than strictly necessary.
 
+    An edge-local invariant forbids the same pairs whatever else the policy
+    holds, so its removal comes from its forbidden class blocks (one
+    predicate call per pair of attribute classes, not one per flow) and
+    waits in one pending set.  The pending removal is applied before each
+    other invariant and at the end, so every other invariant sees exactly
+    the remainder left by the invariants before it in the given order.
+
     Self-flows are never removed: in-host communication is outside any
     shipped template's scope.  Callers must only pass invariants that hold
     on the flow-less policy (scenario loading guarantees this).
     """
     current = allow_all(hosts)
+    pending = set()
     for inst in invariants:
-        removal = {
+        pred = inst.template.edge_pred
+        if pred is not None:
+            for senders, receivers in pred._forbidden_blocks(current.hosts, inst.mapping()):
+                pending.update((s, r) for s in senders for r in receivers if s != r)
+            continue
+        if pending:
+            current = _derived_policy(current.hosts, current.flows - pending)
+        pending = {
             (s, r) for fs in offending_flows(inst, current, edge_bound) for s, r in fs if s != r
         }
-        if removal:
-            current = current.without_flows(removal)
+    if pending:
+        current = _derived_policy(current.hosts, current.flows - pending)
     return current
 
 

@@ -39,7 +39,21 @@ class Policy:
         return sorted(self.flows)
 
     def without_flows(self, removed: Iterable[Flow]) -> "Policy":
-        return Policy(self.hosts, self.flows - frozenset(removed))
+        return _derived_policy(self.hosts, self.flows - frozenset(removed))
+
+
+def _derived_policy(hosts: frozenset, flows: frozenset) -> Policy:
+    """A policy from a host set and a flow set already known to lie within it.
+
+    For sub-policies derived inside the library (a checked policy's flows,
+    or pairs of its own hosts), this skips the endpoint check that
+    ``Policy(...)`` runs for outside input.
+    """
+    policy = object.__new__(Policy)
+    fields = policy.__dict__
+    fields["hosts"] = hosts
+    fields["flows"] = flows
+    return policy
 
 
 def _checked_hosts(hosts: Iterable[HostId]) -> frozenset:

@@ -10,8 +10,12 @@ module works for arbitrary templates; the concrete ones live in
 Offending flows (minimal repair options for a violated invariant) come from
 a linear fast path for templates whose predicate decomposes into a per-edge
 check, else from a subset enumeration exponential in the number of flows.
-Tests hold the two to exact agreement.  verify, construct and the
-secure-default checker share that route; the blame rule lives in offenders.
+Tests hold the two to exact agreement.  verify and the secure-default
+checker share that route; the blame rule lives in offenders.  construct
+takes it only for templates without per-edge structure: for edge-local ones
+it asks which pairs of the complete graph fail, once per pair of attribute
+classes (``_forbidden_blocks``), and tests hold that to agreement with the
+per-flow check.
 """
 
 from __future__ import annotations
@@ -23,7 +27,17 @@ from enum import Enum
 from typing import Callable, Generic, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import TooLarge
-from .graph import A, Flow, FlowSet, HostId, HostMapping, Policy, deny_all, total_map
+from .graph import (
+    A,
+    Flow,
+    FlowSet,
+    HostId,
+    HostMapping,
+    Policy,
+    _derived_policy,
+    deny_all,
+    total_map,
+)
 
 DEFAULT_EDGE_BOUND = 16
 
@@ -50,6 +64,11 @@ class EdgePredicate(Generic[A]):
     the offending flows unique and computable in linear time.
     ``exempt_reflexive`` skips self-flows, for templates that restrict
     host-to-host traffic but must always permit in-host communication.
+
+    ``predicate`` must depend on the two attribute values alone, and
+    attributes must be hashable: hosts with equal attributes then get equal
+    verdicts, which lets construction decide once per pair of attribute
+    classes instead of once per flow.
     """
 
     predicate: Callable[[A, A], bool]
@@ -64,6 +83,28 @@ class EdgePredicate(Generic[A]):
             return ((s, r) for s, r in g.flows if s != r and not check(get(s, dft), get(r, dft)))
         return ((s, r) for s, r in g.flows if not check(get(s, dft), get(r, dft)))
 
+    def _forbidden_blocks(self, hosts: Iterable[HostId], mapping: HostMapping) -> list:
+        """The ``(senders, receivers)`` host lists of every rejected class pair.
+
+        Hosts are grouped by attribute value, so a configured host whose
+        attribute equals the default joins the unconfigured hosts' class, and
+        the check runs once per ordered pair of classes.  Every pair in a
+        block's product fails the check; ``exempt_reflexive`` is not applied,
+        so callers drop self-pairs themselves.
+        """
+        get = mapping.entries.get
+        dft = mapping.default
+        classes = {}
+        for h in hosts:
+            classes.setdefault(get(h, dft), []).append(h)
+        check = self.predicate
+        return [
+            (senders, receivers)
+            for snd, senders in classes.items()
+            for rcv, receivers in classes.items()
+            if not check(snd, rcv)
+        ]
+
 
 @dataclass(frozen=True)
 class Template(Generic[A]):
@@ -73,6 +114,8 @@ class Template(Generic[A]):
     flow set (removing flows never breaks a satisfied invariant), and true
     on every flow-less policy.  Scenario loading checks only the last point;
     monotonicity is the caller's contract, testable by check_monotonicity.
+    An ``edge_pred`` must decide each flow from its two endpoint attributes
+    alone (see :class:`EdgePredicate`).
     """
 
     name: str
@@ -170,10 +213,10 @@ def _offending_sets_bruteforce(
     hosts = g.hosts
     for candidate in _subsets_by_size(edges):
         remainder = flows - candidate
-        if not evaluate(Policy(hosts, remainder), mapping):
+        if not evaluate(_derived_policy(hosts, remainder), mapping):
             continue
         if all(
-            not evaluate(Policy(hosts, remainder | {flow}), mapping)
+            not evaluate(_derived_policy(hosts, remainder | {flow}), mapping)
             for flow in candidate
         ):
             found.append(candidate)
@@ -245,7 +288,7 @@ def find_monotonicity_counterexample(
     evaluate = inst.template.evaluate
     for _ in range(trials):
         subset = frozenset(e for e in edges if rng.random() < 0.5)
-        if not evaluate(Policy(g.hosts, subset), mapping):
+        if not evaluate(_derived_policy(g.hosts, subset), mapping):
             return subset
     return None
 

@@ -12,8 +12,9 @@ A scenario file is a JSON object with three keys::
 
 Attribute literal syntax is defined per template next to the template
 itself; see the registry below for the mapping from template names to
-parsers.  Loading is strict: duplicate hosts or flows, unknown keys,
-unknown hosts, and malformed literals are all hard errors.  Semantic errors
+parsers.  Loading is strict: duplicate hosts or flows, host names holding
+line breaks or control characters, unknown keys, unknown hosts, and
+malformed literals are all hard errors.  Semantic errors
 report the structural path of the offending element; JSON syntax errors
 carry line and column.
 """
@@ -101,6 +102,16 @@ def _parse_hosts(data) -> list:
             name.encode("utf-8")  # a lone surrogate escape: never printable
         except UnicodeEncodeError:
             raise ScenarioFormatError(f"hosts[{index}]", "host name is not valid Unicode text") from None
+        # a line break or control character (Unicode category Cc: U+0000 to
+        # U+001F and U+007F to U+009F) would let a name forge lines of the
+        # text reports, which print names as they are; every such name
+        # fails the cheap isprintable test first
+        if not name.isprintable() and (
+            name.splitlines() != [name] or any(c < " " or "\x7f" <= c <= "\x9f" for c in name)
+        ):
+            raise ScenarioFormatError(
+                f"hosts[{index}]", "host name must not hold line breaks or control characters"
+            )
         if name in seen:
             raise ScenarioFormatError(f"hosts[{index}]", f"duplicate host {name!r}")
         seen.add(name)

@@ -62,6 +62,42 @@ CORPUS = {
 }
 
 
+def c09_instances(hosts, count):
+    """The C09 scaling workload: ``count`` edge-local invariants cycling
+    through the four templates, each configuring one to two of the first
+    four hosts."""
+    level_x = pv.domain_name("x")
+    out = []
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            out.append(
+                pv.InvariantInstance(
+                    pv.blp_basic(),
+                    {hosts[0]: pv.Clearance.secret, hosts[1]: pv.Clearance.confidential},
+                )
+            )
+        elif kind == 1:
+            out.append(
+                pv.InvariantInstance(
+                    pv.blp_trust(),
+                    {
+                        hosts[0]: pv.BlpTrustAttr(pv.Clearance.secret, False),
+                        hosts[2]: pv.BlpTrustAttr(pv.Clearance.unclassified, True),
+                    },
+                )
+            )
+        elif kind == 2:
+            out.append(
+                pv.InvariantInstance(pv.domain_hierarchy(), {hosts[0]: pv.DomAttr(level_x, 0)})
+            )
+        else:
+            out.append(
+                pv.InvariantInstance(pv.security_gateway(), {hosts[3]: pv.SgwRole.sgwa})
+            )
+    return out
+
+
 def always_false_template():
     """A deliberately broken template: monotone, but false even on the
     flow-less policy, so violations are never repairable."""
@@ -82,6 +118,20 @@ def assert_def3_conjuncts(inst, policy, flow_set):
     for flow in flow_set:
         again = pv.Policy(policy.hosts, remainder.flows | {flow})
         assert not pv.eval_instance(inst, again)
+
+
+def construct_by_flow_scan(hosts, invariants, edge_bound=pv.DEFAULT_EDGE_BOUND):
+    """Reference for construct_max_policy: from allow-all, remove each
+    invariant's offending flows on the current remainder, one invariant at a
+    time, keeping self-flows."""
+    current = pv.allow_all(hosts)
+    for inst in invariants:
+        removal = {
+            (s, r) for fs in pv.offending_flows(inst, current, edge_bound) for s, r in fs if s != r
+        }
+        if removal:
+            current = current.without_flows(removal)
+    return current
 
 
 def satisfied_variant(inst, policy):

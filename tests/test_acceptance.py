@@ -13,7 +13,7 @@ from pathlib import Path
 
 import policyverif as pv
 
-from helpers import CABIN_HOSTS, always_false_template, cabin_invariants
+from helpers import CABIN_HOSTS, always_false_template, c09_instances, cabin_invariants
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -273,42 +273,10 @@ def test_c08_monotonicity_trials():
 
 @criterion("C9", "construction scales quadratic in hosts, linear in invariants")
 def test_c09_construction_performance():
-    def bench_instances(hosts, count):
-        level_x = pv.domain_name("x")
-        out = []
-        for i in range(count):
-            kind = i % 4
-            if kind == 0:
-                out.append(
-                    pv.InvariantInstance(
-                        pv.blp_basic(),
-                        {hosts[0]: pv.Clearance.secret, hosts[1]: pv.Clearance.confidential},
-                    )
-                )
-            elif kind == 1:
-                out.append(
-                    pv.InvariantInstance(
-                        pv.blp_trust(),
-                        {
-                            hosts[0]: pv.BlpTrustAttr(pv.Clearance.secret, False),
-                            hosts[2]: pv.BlpTrustAttr(pv.Clearance.unclassified, True),
-                        },
-                    )
-                )
-            elif kind == 2:
-                out.append(
-                    pv.InvariantInstance(pv.domain_hierarchy(), {hosts[0]: pv.DomAttr(level_x, 0)})
-                )
-            else:
-                out.append(
-                    pv.InvariantInstance(pv.security_gateway(), {hosts[3]: pv.SgwRole.sgwa})
-                )
-        return out
-
     def run_once(n_hosts, n_instances):
         rng = random.Random(0)
         hosts = [f"n{i:03d}" for i in range(n_hosts)]
-        instances = bench_instances(hosts, n_instances)
+        instances = c09_instances(hosts, n_instances)
         pairs = [(a, b) for a in hosts for b in hosts]
         rng.shuffle(pairs)
         seeded = pv.make_policy(hosts, pairs[: n_hosts * n_hosts // 4])

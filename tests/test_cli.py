@@ -42,6 +42,21 @@ def test_verify_bad_json_exits_two(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_host_names_that_forge_report_lines(tmp_path, capsys):
+    forged = "b\noverall: ok"
+    document = {
+        "hosts": ["a", forged],
+        "flows": [["a", forged]],
+        "invariants": [{"template": "blp_basic", "attributes": {"a": "secret"}}],
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "overall: ok" not in captured.out
+    assert "error:" in captured.err
+
+
 def test_usage_error_exits_two(capsys):
     assert cli_main([]) == 2
     assert cli_main(["frobnicate"]) == 2

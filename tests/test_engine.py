@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from helpers import (
     CABIN_HOSTS,
     CORPUS,
     always_false_template,
+    c09_instances,
     cabin_invariants,
+    construct_by_flow_scan,
     random_policy,
 )
 
@@ -186,6 +189,63 @@ def test_construct_order_independent_for_edge_local_scenarios():
         baseline = pv.construct_max_policy(g.hosts, instances)
         for permuted in itertools.permutations(instances):
             assert pv.construct_max_policy(g.hosts, list(permuted)) == baseline
+
+
+def test_construct_equals_the_flow_scan_reference():
+    # Attribute draws include each template's default, so configured hosts
+    # can share the unconfigured hosts' class; the reachability invariant
+    # goes before, between and after the edge-local ones, where it must see
+    # exactly the remainder their removals left.
+    rng = random.Random(404)
+    templates = set()
+    for case in range(24):
+        hosts = [f"h{i}" for i in range(4 if case % 6 == 0 else rng.randint(2, 3))]
+        edge_local = []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(sorted(CORPUS))
+            spec = CORPUS[name]
+            config = {h: rng.choice(spec["attrs"]) for h in hosts if rng.random() < 0.7}
+            edge_local.append(pv.InvariantInstance(spec["template"](), config))
+            templates.add(name)
+        roles = {h: rng.choice(list(pv.ReachRole)) for h in hosts}
+        roles[rng.choice(hosts)] = pv.ReachRole.snk
+        reach = pv.InvariantInstance(pv.no_transitive_access(), roles)
+        orders = [edge_local] + [
+            edge_local[:at] + [reach] + edge_local[at:] for at in range(len(edge_local) + 1)
+        ]
+        for instances in orders:
+            expected = construct_by_flow_scan(hosts, instances)
+            assert pv.construct_max_policy(hosts, instances) == expected, (hosts, instances)
+    assert templates == set(CORPUS)
+
+
+def test_construct_calls_each_edge_predicate_once_per_class_pair():
+    # with the secure default, an invariant over n hosts has at most
+    # |config| + 1 attribute classes; construction decides per class pair,
+    # not per flow of the n * n allow-all policy
+    counts = Counter()
+
+    def counting(template):
+        edge = template.edge_pred
+
+        def predicate(snd, rcv):
+            counts["predicate_calls"] += 1
+            return edge.predicate(snd, rcv)
+
+        return pv.edge_template(
+            template.name, template.strategy, template.default_attr, predicate,
+            edge.exempt_reflexive,
+        )
+
+    hosts = [f"n{i:03d}" for i in range(60)]
+    instances = c09_instances(hosts, 20)
+    counted = [pv.InvariantInstance(counting(inst.template), inst.config) for inst in instances]
+    class_pairs = sum(
+        len({inst.mapping().lookup(h) for h in hosts}) ** 2 for inst in instances
+    )
+    maximum = pv.construct_max_policy(hosts, counted)
+    assert counts["predicate_calls"] <= class_pairs
+    assert maximum == construct_by_flow_scan(hosts, instances)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,21 @@ def test_fast_and_bruteforce_agree(case):
 
 @settings(max_examples=80, deadline=None)
 @given(corpus_cases())
+def test_forbidden_blocks_agree_with_failing_flows_of_allow_all(case):
+    # the class route of construct and the per-flow route of verify answer
+    # the same question on the complete graph, apart from self-flows
+    inst, g = case
+    edge = inst.template.edge_pred
+    mapping = inst.mapping()
+    blocks = edge._forbidden_blocks(g.hosts, mapping)
+    forbidden = [(s, r) for senders, receivers in blocks for s in senders for r in receivers]
+    assert len(forbidden) == len(set(forbidden))
+    failing = set(edge._failing_flows(pv.allow_all(g.hosts), mapping))
+    assert {(s, r) for s, r in forbidden if s != r} == {(s, r) for s, r in failing if s != r}
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_cases())
 def test_satisfied_instances_have_no_offending_flows(case):
     inst, g = case
     if pv.eval_instance(inst, g):

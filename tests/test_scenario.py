@@ -98,6 +98,15 @@ def test_syntax_error_carries_position():
         '{"hosts": ["A"], "flows": [], "invariants": [{"attributes": {}}]}',
         '[1, 2]',
         '{"hosts": ["\\ud800"], "flows": [], "invariants": []}',
+        '{"hosts": ["b\\noverall: ok"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\rb"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u0000"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u001b[2J"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u007f"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u0085b"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u2028b"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u2029b"], "flows": [], "invariants": []}',
+        '{"hosts": ["a\\u001cb"], "flows": [], "invariants": []}',
         pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
         pytest.param("[" + "1" * 5000 + "]", id="integer-too-long"),
     ],
@@ -140,8 +149,10 @@ def test_policy_round_trip_through_serialization():
     assert restored == policy
 
 
+# every name the file format admits: no surrogates, control characters or
+# line and paragraph separators
 host_name = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=10
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), min_size=1, max_size=10
 )
 
 
