@@ -55,7 +55,7 @@ def _flow_str(flow) -> str:
     return f"{flow[0]} -> {flow[1]}"
 
 
-def render_report(report: VerificationReport, cap: int = DISPLAY_CAP) -> str:
+def render_report(report: VerificationReport) -> str:
     lines = []
     for index, result in enumerate(report.results, start=1):
         verdict = "ok" if result.holds else "VIOLATED"
@@ -65,8 +65,8 @@ def render_report(report: VerificationReport, cap: int = DISPLAY_CAP) -> str:
         lines.append(f"  repair options: {len(result.offending)}")
         for opt, flow_set in enumerate(result.offending, start=1):
             flows = sorted(flow_set)
-            shown = ", ".join(_flow_str(f) for f in flows[:cap])
-            more = f" (+{len(flows) - cap} more)" if len(flows) > cap else ""
+            shown = ", ".join(_flow_str(f) for f in flows[:DISPLAY_CAP])
+            more = f" (+{len(flows) - DISPLAY_CAP} more)" if len(flows) > DISPLAY_CAP else ""
             lines.append(f"    option {opt} ({len(flows)} flow(s)): {shown}{more}")
         lines.append(f"  offending hosts: {', '.join(sorted(result.offender_hosts)) or '-'}")
     lines.append(f"overall: {'ok' if report.overall else 'VIOLATED'}")
@@ -208,6 +208,18 @@ def run_selftest(seed: int, trials: int, out=print) -> bool:
 # ---------------------------------------------------------------------------
 # entry points
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="policyverif",
@@ -218,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--edge-bound",
-        type=int,
+        type=_at_least(0),
         default=DEFAULT_EDGE_BOUND,
         metavar="N",
         help="cap for brute-force offending-flow enumeration (default %(default)s)",
@@ -241,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--dot", metavar="PATH", help="also write the annotated graph as DOT")
 
     p_selftest = sub.add_parser("selftest", help="run seeded sanity checks")
-    p_selftest.add_argument("--trials", type=int, default=25, metavar="N")
+    p_selftest.add_argument("--trials", type=_at_least(1), default=25, metavar="N")
 
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 from .errors import InvariantRejected, UnknownHost
-from .graph import Flow, FlowSet, HostId, Policy, _derived_policy, allow_all
+from .graph import FlowSet, HostId, Policy, _all_pairs_but, _checked_hosts
 from .invariants import (
     DEFAULT_EDGE_BOUND,
     InvariantInstance,
@@ -95,40 +95,32 @@ def construct_max_policy(
 ) -> Policy:
     """The most permissive policy satisfying all invariants.
 
-    Starts from the allow-all policy and, invariant by invariant, removes
-    the union of the offending flow sets computed on the current remainder.
-    Monotonicity makes each removal final, so one pass suffices.  For
-    scenarios built purely from edge-local templates the result is the
-    unique maximum; with brute-force templates the union removal is still
-    sound but may prohibit more than strictly necessary.
-
+    The result is allow-all minus one removal set.  Invariant by invariant,
+    in the given order, the removal grows by the union of the offending
+    flow sets; each invariant sees allow-all minus everything removed
+    before it.  Monotonicity makes each removal final, so one pass
+    suffices.  For scenarios built purely from edge-local templates the
+    result is the unique maximum; with brute-force templates the union
+    removal is still sound but may prohibit more than strictly necessary.
     An edge-local invariant forbids the same pairs whatever else the policy
     holds, so its removal comes from its forbidden class blocks (one
-    predicate call per pair of attribute classes, not one per flow) and
-    waits in one pending set.  The pending removal is applied before each
-    other invariant and at the end, so every other invariant sees exactly
-    the remainder left by the invariants before it in the given order.
+    predicate call per pair of attribute classes, not one per flow).
 
     Self-flows are never removed: in-host communication is outside any
     shipped template's scope.  Callers must only pass invariants that hold
     on the flow-less policy (scenario loading guarantees this).
     """
-    current = allow_all(hosts)
-    pending = set()
+    hosts = _checked_hosts(hosts)
+    removed = set()
     for inst in invariants:
         pred = inst.template.edge_pred
         if pred is not None:
-            for senders, receivers in pred._forbidden_blocks(current.hosts, inst.mapping()):
-                pending.update((s, r) for s in senders for r in receivers if s != r)
-            continue
-        if pending:
-            current = _derived_policy(current.hosts, current.flows - pending)
-        pending = {
-            (s, r) for fs in offending_flows(inst, current, edge_bound) for s, r in fs if s != r
-        }
-    if pending:
-        current = _derived_policy(current.hosts, current.flows - pending)
-    return current
+            for senders, receivers in pred._forbidden_blocks(hosts, inst.mapping()):
+                removed.update((s, r) for s in senders for r in receivers if s != r)
+        else:
+            offending = offending_flows(inst, _all_pairs_but(hosts, removed), edge_bound)
+            removed.update((s, r) for fs in offending for s, r in fs if s != r)
+    return _all_pairs_but(hosts, removed)
 
 
 @dataclass(frozen=True)
@@ -150,12 +142,15 @@ def diff(
     invariants: Sequence[InvariantInstance],
     edge_bound: int = DEFAULT_EDGE_BOUND,
 ) -> PolicyDiff:
-    """Compare a hand-written policy against what the invariants admit."""
+    """Compare a hand-written policy against what the invariants admit.
+
+    The maximum holds every self-flow, so none is ever violating.
+    """
     maximum = construct_max_policy(user_policy.hosts, invariants, edge_bound)
-    user_flows = {(s, r) for s, r in user_policy.flows if s != r}
-    max_flows = {(s, r) for s, r in maximum.flows if s != r}
     return PolicyDiff(
-        violating=frozenset(user_flows - max_flows),
-        permitted_missing=frozenset(max_flows - user_flows),
+        violating=user_policy.flows - maximum.flows,
+        permitted_missing=frozenset(
+            (s, r) for s, r in maximum.flows - user_policy.flows if s != r
+        ),
         reflexive=frozenset((s, r) for s, r in user_policy.flows if s == r),
     )

@@ -69,10 +69,19 @@ def make_policy(hosts: Iterable[HostId], flows: Iterable[Flow]) -> Policy:
     return Policy(_checked_hosts(hosts), frozenset((s, r) for s, r in flows))
 
 
+def _all_pairs_but(hosts: frozenset, removed) -> Policy:
+    """Every ordered pair of ``hosts``, reflexive pairs included, except ``removed``."""
+    return _derived_policy(
+        hosts, frozenset((s, r) for s in hosts for r in hosts if (s, r) not in removed)
+    )
+
+
 def allow_all(hosts: Iterable[HostId]) -> Policy:
-    """The most permissive policy: every ordered pair, reflexive pairs included."""
-    hostset = _checked_hosts(hosts)
-    return Policy(hostset, frozenset((s, r) for s in hostset for r in hostset))
+    """The most permissive policy: every ordered pair, reflexive pairs included.
+
+    Host names are checked; the pairs of those hosts need no endpoint check.
+    """
+    return _all_pairs_but(_checked_hosts(hosts), ())
 
 
 def deny_all(hosts: Iterable[HostId]) -> Policy:

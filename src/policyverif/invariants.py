@@ -300,10 +300,9 @@ def check_monotonicity(inst: InvariantInstance, g: Policy, trials: int, seed: in
 def _policies_on(hosts: Sequence[HostId], edge_bound: int) -> Iterator[Policy]:
     """Every policy over ``hosts`` with at most ``edge_bound`` flows."""
     hostset = frozenset(hosts)
-    pairs = sorted((s, r) for s in hosts for r in hosts)
-    for k in range(min(edge_bound, len(pairs)) + 1):
-        for combo in itertools.combinations(pairs, k):
-            yield Policy(hostset, frozenset(combo))
+    subsets = _subsets_by_size(sorted((s, r) for s in hosts for r in hosts))
+    for flows in itertools.takewhile(lambda fs: len(fs) <= edge_bound, subsets):
+        yield _derived_policy(hostset, flows)
 
 
 def find_secure_default_counterexample(

@@ -37,20 +37,18 @@ from .errors import (
 from .graph import Policy, make_policy
 from .invariants import InvariantInstance, Template
 from .templates import (
+    Clearance,
+    ReachRole,
+    SgwRole,
+    _enum_codec,
     blp_basic,
     blp_trust,
     domain_hierarchy,
     format_blp_trust,
-    format_clearance,
     format_dom_attr,
-    format_reach_role,
-    format_sgw_role,
     no_transitive_access,
     parse_blp_trust,
-    parse_clearance,
     parse_dom_attr,
-    parse_reach_role,
-    parse_sgw_role,
     security_gateway,
 )
 
@@ -65,13 +63,11 @@ class TemplateIO:
 
 
 TEMPLATE_REGISTRY = {
-    "blp_basic": TemplateIO(blp_basic(), parse_clearance, format_clearance),
+    "blp_basic": TemplateIO(blp_basic(), *_enum_codec(Clearance)),
     "blp_trust": TemplateIO(blp_trust(), parse_blp_trust, format_blp_trust),
     "domain_hierarchy": TemplateIO(domain_hierarchy(), parse_dom_attr, format_dom_attr),
-    "security_gateway": TemplateIO(security_gateway(), parse_sgw_role, format_sgw_role),
-    "no_transitive_access": TemplateIO(
-        no_transitive_access(), parse_reach_role, format_reach_role
-    ),
+    "security_gateway": TemplateIO(security_gateway(), *_enum_codec(SgwRole)),
+    "no_transitive_access": TemplateIO(no_transitive_access(), *_enum_codec(ReachRole)),
 }
 
 

@@ -29,6 +29,27 @@ from .graph import HostMapping, Policy
 from .invariants import Strategy, Template, edge_template
 
 
+def _enum_codec(cls) -> tuple:
+    """``(parse, format)`` for an enum attribute written as a member name.
+
+    Parsing is case-insensitive; formatting gives the member name.
+    """
+    expected = f"expected one of {', '.join(m.name for m in cls)}"
+
+    def parse(literal):
+        if isinstance(literal, str):
+            try:
+                return cls[literal.lower()]
+            except KeyError:
+                pass
+        raise ValueError(expected)
+
+    def format_name(value) -> str:
+        return value.name
+
+    return parse, format_name
+
+
 # ---------------------------------------------------------------------------
 # clearances and Bell-LaPadula style templates
 
@@ -41,17 +62,7 @@ class Clearance(IntEnum):
     topsecret = 3
 
 
-def parse_clearance(literal) -> Clearance:
-    if isinstance(literal, str):
-        try:
-            return Clearance[literal.lower()]
-        except KeyError:
-            pass
-    raise ValueError(f"expected one of {', '.join(c.name for c in Clearance)}")
-
-
-def format_clearance(value: Clearance) -> str:
-    return value.name
+_parse_clearance = _enum_codec(Clearance)[0]
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,7 @@ def parse_blp_trust(literal) -> BlpTrustAttr:
     trust = literal.get("trust", False)
     if not isinstance(trust, bool):
         raise ValueError('"trust" must be a boolean')
-    return BlpTrustAttr(parse_clearance(literal["sc"]), trust)
+    return BlpTrustAttr(_parse_clearance(literal["sc"]), trust)
 
 
 def format_blp_trust(value: BlpTrustAttr) -> dict:
@@ -264,19 +275,6 @@ _SECURITY_GATEWAY = edge_template(
 def security_gateway() -> Template:
     """Role-table access control; in-host traffic is always permitted."""
     return _SECURITY_GATEWAY
-
-
-def parse_sgw_role(literal) -> SgwRole:
-    if isinstance(literal, str):
-        try:
-            return SgwRole[literal.lower()]
-        except KeyError:
-            pass
-    raise ValueError(f"expected one of {', '.join(r.name for r in SgwRole)}")
-
-
-def format_sgw_role(value: SgwRole) -> str:
-    return value.name
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +326,6 @@ def no_transitive_access() -> Template:
     path property, so violations can have several alternative repair sets.
     """
     return _NO_TRANSITIVE_ACCESS
-
-
-def parse_reach_role(literal) -> ReachRole:
-    if isinstance(literal, str):
-        try:
-            return ReachRole[literal.lower()]
-        except KeyError:
-            pass
-    raise ValueError(f"expected one of {', '.join(r.name for r in ReachRole)}")
-
-
-def format_reach_role(value: ReachRole) -> str:
-    return value.name
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,22 @@ def test_verify_edge_bound_flag(tmp_path, capsys):
     assert cli_main(["verify", "--edge-bound", "2", str(path)]) == 2
     capsys.readouterr()
     assert cli_main(["verify", str(path)]) == 1
+    capsys.readouterr()
+    # below zero is a usage error; zero is valid and never enumerates
+    for bound in ("-5", "-1"):
+        assert cli_main(["verify", "--edge-bound", bound, str(path)]) == 2
+        assert "--edge-bound: must be at least 0" in capsys.readouterr().err
+    assert cli_main(["verify", "--edge-bound", "0", str(path)]) == 2
+    assert "the bound is 0 flows" in capsys.readouterr().err
+    assert cli_main(["verify", "--edge-bound", "0", CABIN]) == 0
+
+
+def test_selftest_trials_below_one_is_a_usage_error(capsys):
+    for trials in ("0", "-3"):
+        assert cli_main(["selftest", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials: must be at least 1" in captured.err
+        assert "policies): ok" not in captured.out
 
 
 def test_exit_code_contract(tmp_path, capsys):

@@ -289,17 +289,36 @@ def test_diff_pieces_reconstruct_the_maximum():
 
 
 def test_diff_partitions_user_policy():
+    # every other user policy gains self-flows, and every third scenario a
+    # reachability invariant at a random place (at most 4 hosts, so its
+    # enumeration over the remainder stays within the default bound)
     rng = random.Random(5)
-    for _ in range(30):
+    roles = list(pv.ReachRole)
+    seen = Counter()
+    for case in range(30):
         g, instances = _random_scenario(rng)
+        if case % 2:
+            g = pv.make_policy(g.hosts, g.flows | {(h, h) for h in g.hosts if rng.random() < 0.7})
+        if case % 3 == 0:
+            reach = pv.InvariantInstance(
+                pv.no_transitive_access(), {h: rng.choice(roles) for h in g.hosts}
+            )
+            instances.insert(rng.randint(0, len(instances)), reach)
         result = pv.diff(g, instances)
         maximum = pv.construct_max_policy(g.hosts, instances)
         user_nonreflexive = {(s, r) for s, r in g.flows if s != r}
+        max_nonreflexive = {(s, r) for s, r in maximum.flows if s != r}
         assert result.violating <= user_nonreflexive
         assert result.violating.isdisjoint(result.permitted_missing)
-        kept = user_nonreflexive & {(s, r) for s, r in maximum.flows if s != r}
+        kept = user_nonreflexive & max_nonreflexive
         assert user_nonreflexive == kept | result.violating
+        assert result.violating == user_nonreflexive - max_nonreflexive
+        assert result.permitted_missing == max_nonreflexive - user_nonreflexive
         assert result.reflexive == {(s, r) for s, r in g.flows if s == r}
+        seen["reflexive"] += bool(result.reflexive)
+        seen["violating"] += bool(result.violating)
+        seen["missing"] += bool(result.permitted_missing)
+    assert min(seen.values()) >= 5, seen
 
 
 @settings(max_examples=30, deadline=None)
