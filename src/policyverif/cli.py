@@ -258,10 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
@@ -284,25 +286,27 @@ def cli_main(argv=None) -> int:
             if args.json:
                 data = policy_to_data(maximum)
                 data["maximal"] = is_maximal
-                print(json.dumps(data, indent=2))
+                text = json.dumps(data, indent=2)
             else:
-                print(render_policy(maximum))
+                text = render_policy(maximum)
                 if not is_maximal:
-                    print("note: sound, possibly non-maximal (an invariant "
-                          "without per-edge structure participates)")
+                    text += ("\nnote: sound, possibly non-maximal (an invariant "
+                             "without per-edge structure participates)")
+            # the DOT file first: a run that fails to write it prints no result
             if args.dot:
                 with open(args.dot, "w", encoding="utf-8") as handle:
                     handle.write(export_dot(maximum))
+            print(text)
             return 0
 
         if args.command == "diff":
             scenario = _load(args.file)
             result = compute_diff(scenario.policy, scenario.invariants, args.edge_bound)
-            print(json.dumps(diff_to_data(result), indent=2) if args.json
-                  else render_diff(result))
+            text = json.dumps(diff_to_data(result), indent=2) if args.json else render_diff(result)
             if args.dot:
                 with open(args.dot, "w", encoding="utf-8") as handle:
                     handle.write(export_dot(scenario.policy, result))
+            print(text)
             return 0
 
         if args.command == "selftest":
@@ -317,6 +321,9 @@ def cli_main(argv=None) -> int:
 
     except (PolicyVerifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a result is printed whole: nothing got out
+        print(f"error: output not encodable as {exc.encoding}; use --json", file=sys.stderr)
         return 2
 
     raise AssertionError(f"unhandled command {args.command!r}")

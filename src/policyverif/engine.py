@@ -74,7 +74,6 @@ def verify(scenario: Scenario, edge_bound: int = DEFAULT_EDGE_BOUND) -> Verifica
     results = []
     for inst in scenario.invariants:
         sets = offending_flows(inst, scenario.policy, edge_bound)
-        sets = sorted(sets, key=lambda fs: (len(fs), sorted(fs)))
         blamed = frozenset().union(*(offenders(inst, fs) for fs in sets))
         results.append(
             InvariantResult(

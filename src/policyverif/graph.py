@@ -46,8 +46,8 @@ def _derived_policy(hosts: frozenset, flows: frozenset) -> Policy:
     """A policy from a host set and a flow set already known to lie within it.
 
     For sub-policies derived inside the library (a checked policy's flows,
-    or pairs of its own hosts), this skips the endpoint check that
-    ``Policy(...)`` runs for outside input.
+    or pairs of its own hosts) and for the scenario loader, whose parsers
+    check every name and endpoint, this skips the check of ``Policy(...)``.
     """
     policy = object.__new__(Policy)
     fields = policy.__dict__

@@ -252,6 +252,9 @@ def offending_flows(
     endpoint attributes fail the per-edge check (self-flows excluded when
     the template exempts them), or no set at all when the invariant holds.
     Other templates fall back to the brute-force enumeration.
+
+    The sets come by size, then by sorted flows: the enumeration walks the
+    subsets of the sorted flows in that order.
     """
     return _offending_sets(inst.template, g, inst.mapping(), edge_bound)
 

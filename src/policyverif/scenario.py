@@ -34,7 +34,7 @@ from .errors import (
     UnknownHost,
     UnknownTemplate,
 )
-from .graph import Policy, make_policy
+from .graph import _derived_policy
 from .invariants import InvariantInstance, Template
 from .templates import (
     Clearance,
@@ -86,10 +86,9 @@ def _require_keys(obj, where, allowed):
         raise ScenarioFormatError(where, f"unknown keys {sorted(unknown)}")
 
 
-def _parse_hosts(data) -> list:
+def _parse_hosts(data) -> set:
     if not isinstance(data, list):
         raise ScenarioFormatError("hosts", "must be a list of host names")
-    hosts = []
     seen = set()
     for index, name in enumerate(data):
         if not isinstance(name, str) or not name:
@@ -111,16 +110,13 @@ def _parse_hosts(data) -> list:
         if name in seen:
             raise ScenarioFormatError(f"hosts[{index}]", f"duplicate host {name!r}")
         seen.add(name)
-        hosts.append(name)
-    return hosts
+    return seen
 
 
-def _parse_flows(data, hosts) -> list:
+def _parse_flows(data, hostset) -> set:
     if not isinstance(data, list):
         raise ScenarioFormatError("flows", "must be a list of [source, target] pairs")
-    flows = []
     seen = set()
-    hostset = set(hosts)
     for index, pair in enumerate(data):
         where = f"flows[{index}]"
         if not isinstance(pair, list) or len(pair) != 2:
@@ -134,8 +130,7 @@ def _parse_flows(data, hosts) -> list:
         if (src, dst) in seen:
             raise ScenarioFormatError(where, f"duplicate flow {src!r} -> {dst!r}")
         seen.add((src, dst))
-        flows.append((src, dst))
-    return flows
+    return seen
 
 
 def _parse_invariant(data, where, hostset) -> InvariantInstance:
@@ -173,12 +168,11 @@ def scenario_from_data(data) -> Scenario:
     invariants_data = data.get("invariants", [])
     if not isinstance(invariants_data, list):
         raise ScenarioFormatError("invariants", "must be a list")
-    hostset = set(hosts)
     instances = [
-        _parse_invariant(item, f"invariants[{index}]", hostset)
+        _parse_invariant(item, f"invariants[{index}]", hosts)
         for index, item in enumerate(invariants_data)
     ]
-    return Scenario(make_policy(hosts, flows), tuple(instances))
+    return Scenario(_derived_policy(frozenset(hosts), frozenset(flows)), tuple(instances))
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -225,8 +219,3 @@ def scenario_to_data(scenario: Scenario) -> dict:
 
 def serialize_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario_to_data(scenario), indent=2, ensure_ascii=False) + "\n"
-
-
-def serialize_policy(policy: Policy) -> str:
-    """A policy alone, as a scenario document with no invariants."""
-    return serialize_scenario(Scenario(policy, ()))

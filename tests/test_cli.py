@@ -136,6 +136,41 @@ def test_diff_reports_missing_and_violating(tmp_path, capsys):
     assert '"Wifi" -> "SAT" [style=dashed];' in dot
 
 
+def test_unwritable_dot_prints_no_result(tmp_path, capsys):
+    for argv in (
+        ["construct", "--dot", str(tmp_path / "missing" / "max.dot"), CABIN],
+        ["diff", "--dot", str(tmp_path), CABIN_BAD],
+    ):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+def test_unencodable_host_names_exit_two(tmp_path, capsys):
+    document = {
+        "hosts": ["caf\u00e9", "b"],
+        "flows": [["b", "caf\u00e9"], ["caf\u00e9", "b"]],
+        "invariants": [{"template": "blp_basic", "attributes": {"caf\u00e9": "secret"}}],
+    }
+    path = tmp_path / "cafe.json"
+    path.write_text(json.dumps(document))
+    for argv, expected in (
+        (["verify", str(path)], 2),
+        (["construct", str(path)], 2),
+        (["verify", "--json", str(path)], 1),
+    ):
+        out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        with contextlib.redirect_stdout(out):
+            assert cli_main(argv) == expected
+        out.flush()
+        if expected == 2:
+            assert out.buffer.getvalue() == b""
+            assert "use --json" in capsys.readouterr().err
+        else:
+            assert json.loads(out.buffer.getvalue())["overall"] is False
+
+
 def test_diff_json(tmp_path, capsys):
     assert cli_main(["diff", "--json", CABIN]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -263,16 +298,24 @@ _DOCUMENTS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_DOCUMENTS)
-def test_verify_exit_code_contract_on_any_bytes(tmp_path_factory, document):
+@given(_DOCUMENTS, st.sampled_from(("verify", "construct", "diff")))
+def test_verify_exit_code_contract_on_any_bytes(tmp_path_factory, document, command):
     path = tmp_path_factory.mktemp("fuzz") / "doc.json"
     path.write_bytes(document)
     # encoded streams, as a terminal has: printing an unencodable name fails
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["verify", str(path)])
-    assert code in (0, 1, 2)
-    if code != 2:
+        code = cli_main([command, str(path)])
+    try:
         scenario = pv.parse_scenario(document.decode("utf-8"))
-        assert pv.verify(scenario).overall == (code == 0)
+    except (UnicodeDecodeError, pv.ScenarioError):
+        scenario = None
+    # loadable documents have at most 3 hosts, so no enumeration hits its bound
+    assert (code != 2) == (scenario is not None)
+    if command == "verify":
+        assert code in (0, 1, 2)
+        if scenario is not None:
+            assert pv.verify(scenario).overall == (code == 0)
+    else:
+        assert code in (0, 2)

@@ -145,7 +145,7 @@ def test_serialize_rejects_unregistered_templates():
 
 def test_policy_round_trip_through_serialization():
     policy = pv.make_policy({"b", "a"}, {("a", "b"), ("b", "b")})
-    restored = pv.parse_scenario(pv.serialize_policy(policy)).policy
+    restored = pv.parse_scenario(pv.serialize_scenario(pv.Scenario(policy, ()))).policy
     assert restored == policy
 
 
