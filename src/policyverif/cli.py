@@ -51,10 +51,6 @@ from .templates import (
 DISPLAY_CAP = 50
 
 
-def _flow_str(flow) -> str:
-    return f"{flow[0]} -> {flow[1]}"
-
-
 def render_report(report: VerificationReport) -> str:
     lines = []
     for index, result in enumerate(report.results, start=1):
@@ -65,7 +61,7 @@ def render_report(report: VerificationReport) -> str:
         lines.append(f"  repair options: {len(result.offending)}")
         for opt, flow_set in enumerate(result.offending, start=1):
             flows = sorted(flow_set)
-            shown = ", ".join(_flow_str(f) for f in flows[:DISPLAY_CAP])
+            shown = ", ".join(f"{s} -> {r}" for s, r in flows[:DISPLAY_CAP])
             more = f" (+{len(flows) - DISPLAY_CAP} more)" if len(flows) > DISPLAY_CAP else ""
             lines.append(f"    option {opt} ({len(flows)} flow(s)): {shown}{more}")
         lines.append(f"  offending hosts: {', '.join(sorted(result.offender_hosts)) or '-'}")
@@ -89,26 +85,70 @@ def report_to_data(report: VerificationReport) -> dict:
     }
 
 
-def render_policy(policy: Policy) -> str:
-    lines = [f"hosts ({len(policy.hosts)}): {', '.join(policy.sorted_hosts())}"]
+# The construct and diff documents are encoded directly, in the layout of
+# json.dumps(..., indent=2): with an indent the standard encoder runs in
+# Python, several times slower than building the text from each host's
+# string literal.
+
+class _JsonStrings(dict):
+    """Host name -> its JSON string literal, each name encoded once, on first use."""
+
+    def __missing__(self, name: str) -> str:
+        literal = self[name] = json.dumps(name)
+        return literal
+
+
+def _json_pairs(pairs, strings: _JsonStrings) -> str:
+    """A list of ``[s, r]`` pairs as the value of a top-level key."""
+    if not pairs:
+        return "[]"
+    blocks = [f"    [\n      {strings[s]},\n      {strings[r]}\n    ]" for s, r in pairs]
+    return "[\n" + ",\n".join(blocks) + "\n  ]"
+
+
+def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -> str:
+    """A constructed policy as text, or as the ``{hosts, flows, maximal}`` document.
+
+    ``maximal`` is false when the policy may not be the unique maximum; the
+    text then ends with a note.
+    """
     flows = policy.sorted_flows()
-    lines.append(f"flows ({len(flows)}):")
-    lines.extend(f"  {_flow_str(f)}" for f in flows)
+    if as_json:
+        strings = _JsonStrings()
+        hosts = [strings[h] for h in policy.sorted_hosts()]
+        host_list = "[\n    " + ",\n    ".join(hosts) + "\n  ]" if hosts else "[]"
+        return (f'{{\n  "hosts": {host_list},\n  "flows": {_json_pairs(flows, strings)},'
+                f'\n  "maximal": {json.dumps(maximal)}\n}}')
+    lines = [f"hosts ({len(policy.hosts)}): {', '.join(policy.sorted_hosts())}",
+             f"flows ({len(flows)}):"]
+    lines += [f"  {s} -> {r}" for s, r in flows]
+    if not maximal:
+        lines.append("note: sound, possibly non-maximal (an invariant "
+                     "without per-edge structure participates)")
     return "\n".join(lines)
 
 
 def policy_to_data(policy: Policy) -> dict:
+    """The policy as JSON-ready data; ``render_policy`` encodes the same document."""
     return {
         "hosts": policy.sorted_hosts(),
         "flows": [[s, r] for s, r in policy.sorted_flows()],
     }
 
 
-def render_diff(result: PolicyDiff) -> str:
-    lines = [f"violating flows ({len(result.violating)}):"]
-    lines.extend(f"  {_flow_str(f)}" for f in sorted(result.violating))
-    lines.append(f"permitted but missing ({len(result.permitted_missing)}):")
-    lines.extend(f"  {_flow_str(f)}" for f in sorted(result.permitted_missing))
+def render_diff(result: PolicyDiff, as_json: bool = False) -> str:
+    """A diff as text, or as the ``{violating, permitted_missing, reflexive}`` document."""
+    violating = sorted(result.violating)
+    missing = sorted(result.permitted_missing)
+    if as_json:
+        strings = _JsonStrings()
+        return (f'{{\n  "violating": {_json_pairs(violating, strings)},'
+                f'\n  "permitted_missing": {_json_pairs(missing, strings)},'
+                f'\n  "reflexive": {_json_pairs(sorted(result.reflexive), strings)}\n}}')
+    lines = [f"violating flows ({len(violating)}):"]
+    lines += [f"  {s} -> {r}" for s, r in violating]
+    lines.append(f"permitted but missing ({len(missing)}):")
+    lines += [f"  {s} -> {r}" for s, r in missing]
     lines.append(
         f"reflexive flows (always permitted, reported separately): {len(result.reflexive)}"
     )
@@ -116,11 +156,27 @@ def render_diff(result: PolicyDiff) -> str:
 
 
 def diff_to_data(result: PolicyDiff) -> dict:
+    """The diff as JSON-ready data; ``render_diff`` encodes the same document."""
     return {
         "violating": [[s, r] for s, r in sorted(result.violating)],
         "permitted_missing": [[s, r] for s, r in sorted(result.permitted_missing)],
         "reflexive": [[s, r] for s, r in sorted(result.reflexive)],
     }
+
+
+def _print_result(
+    text: str, dot_path, policy: Policy, diff: PolicyDiff | None = None
+) -> None:
+    """Print a result, writing its DOT file first, so that a run that fails
+    to write the file prints nothing.  A text the output stream cannot encode
+    raises the printing error before the file is written."""
+    if dot_path:
+        encoding = getattr(sys.stdout, "encoding", None)
+        if encoding:  # an in-memory stream has none and takes any text
+            text.encode(encoding, sys.stdout.errors or "strict")
+        with open(dot_path, "w", encoding="utf-8") as handle:
+            handle.write(export_dot(policy, diff))
+    print(text)
 
 
 def _load(path: str) -> Scenario:
@@ -283,30 +339,13 @@ def cli_main(argv=None) -> int:
             is_maximal = all(
                 inst.template.edge_pred is not None for inst in scenario.invariants
             )
-            if args.json:
-                data = policy_to_data(maximum)
-                data["maximal"] = is_maximal
-                text = json.dumps(data, indent=2)
-            else:
-                text = render_policy(maximum)
-                if not is_maximal:
-                    text += ("\nnote: sound, possibly non-maximal (an invariant "
-                             "without per-edge structure participates)")
-            # the DOT file first: a run that fails to write it prints no result
-            if args.dot:
-                with open(args.dot, "w", encoding="utf-8") as handle:
-                    handle.write(export_dot(maximum))
-            print(text)
+            _print_result(render_policy(maximum, is_maximal, args.json), args.dot, maximum)
             return 0
 
         if args.command == "diff":
             scenario = _load(args.file)
             result = compute_diff(scenario.policy, scenario.invariants, args.edge_bound)
-            text = json.dumps(diff_to_data(result), indent=2) if args.json else render_diff(result)
-            if args.dot:
-                with open(args.dot, "w", encoding="utf-8") as handle:
-                    handle.write(export_dot(scenario.policy, result))
-            print(text)
+            _print_result(render_diff(result, args.json), args.dot, scenario.policy, result)
             return 0
 
         if args.command == "selftest":

@@ -21,21 +21,28 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
+class _Quoted(dict):
+    """Host name -> its quoted DOT id, each name quoted once, on first use."""
+
+    def __missing__(self, name: str) -> str:
+        quoted = self[name] = _quote(name)
+        return quoted
+
+
 def export_dot(policy: Policy, diff: Optional[PolicyDiff] = None) -> str:
     """Render a policy (optionally annotated with a diff) as a DOT digraph."""
-    violating = diff.violating if diff is not None else frozenset()
-    missing = diff.permitted_missing if diff is not None else frozenset()
+    quoted = _Quoted()
     lines = ["digraph policy {"]
-    for host in policy.sorted_hosts():
-        lines.append(f"  {_quote(host)};")
-    shown = {(s, r) for s, r in policy.flows if s != r} | set(missing)
-    for s, r in sorted(shown):
-        if (s, r) in violating:
-            attrs = " [color=red]"
-        elif (s, r) in missing:
-            attrs = " [style=dashed]"
-        else:
-            attrs = ""
-        lines.append(f"  {_quote(s)} -> {_quote(r)}{attrs};")
+    lines += [f"  {quoted[host]};" for host in policy.sorted_hosts()]
+    if diff is None:
+        lines += [f"  {quoted[s]} -> {quoted[r]};" for s, r in policy.sorted_flows() if s != r]
+    else:
+        # a flow both violating and missing is drawn as violating
+        styles = dict.fromkeys(diff.permitted_missing, " [style=dashed]")
+        styles.update(dict.fromkeys(diff.violating, " [color=red]"))
+        shown = (policy.flows - {(h, h) for h in policy.hosts}) | diff.permitted_missing
+        lines += [
+            f"  {quoted[s]} -> {quoted[r]}{styles.get((s, r), '')};" for s, r in sorted(shown)
+        ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ types here are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Generic, Iterable, Mapping, Tuple, TypeVar
 
 from .errors import DanglingEndpoint
@@ -36,7 +37,12 @@ class Policy:
         return sorted(self.hosts)
 
     def sorted_flows(self) -> list:
-        return sorted(self.flows)
+        return list(self._sorted_flows)
+
+    @cached_property
+    def _sorted_flows(self) -> tuple:
+        # sorted once per policy: a command that renders text and DOT reuses it
+        return tuple(sorted(self.flows))
 
     def without_flows(self, removed: Iterable[Flow]) -> "Policy":
         return _derived_policy(self.hosts, self.flows - frozenset(removed))

@@ -4,9 +4,11 @@ and the cabin-network fixture."""
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import policyverif as pv
+from policyverif import cli
 
 
 def random_policy(rng: random.Random, max_hosts=5, max_edges=8, prefix="h"):
@@ -190,3 +192,69 @@ def cabin_blp_trust():
 
 def cabin_invariants():
     return (cabin_domain_hierarchy(), cabin_security_gateway(), cabin_blp_trust())
+
+
+# ---------------------------------------------------------------------------
+# reference renderers: the straightforward encoders the CLI's direct ones
+# must match byte for byte
+
+
+def _flow_str(flow):
+    return f"{flow[0]} -> {flow[1]}"
+
+
+def construct_json_reference(policy, maximal):
+    data = cli.policy_to_data(policy)
+    data["maximal"] = maximal
+    return json.dumps(data, indent=2)
+
+
+def diff_json_reference(result):
+    return json.dumps(cli.diff_to_data(result), indent=2)
+
+
+def render_policy_reference(policy, maximal):
+    lines = [f"hosts ({len(policy.hosts)}): {', '.join(sorted(policy.hosts))}"]
+    flows = sorted(policy.flows)
+    lines.append(f"flows ({len(flows)}):")
+    lines.extend(f"  {_flow_str(f)}" for f in flows)
+    text = "\n".join(lines)
+    if not maximal:
+        text += ("\nnote: sound, possibly non-maximal (an invariant "
+                 "without per-edge structure participates)")
+    return text
+
+
+def render_diff_reference(result):
+    lines = [f"violating flows ({len(result.violating)}):"]
+    lines.extend(f"  {_flow_str(f)}" for f in sorted(result.violating))
+    lines.append(f"permitted but missing ({len(result.permitted_missing)}):")
+    lines.extend(f"  {_flow_str(f)}" for f in sorted(result.permitted_missing))
+    lines.append(
+        f"reflexive flows (always permitted, reported separately): {len(result.reflexive)}"
+    )
+    return "\n".join(lines)
+
+
+def _dot_quote(name):
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{escaped}"'
+
+
+def export_dot_reference(policy, diff=None):
+    violating = diff.violating if diff is not None else frozenset()
+    missing = diff.permitted_missing if diff is not None else frozenset()
+    lines = ["digraph policy {"]
+    for host in sorted(policy.hosts):
+        lines.append(f"  {_dot_quote(host)};")
+    shown = {(s, r) for s, r in policy.flows if s != r} | set(missing)
+    for s, r in sorted(shown):
+        if (s, r) in violating:
+            attrs = " [color=red]"
+        elif (s, r) in missing:
+            attrs = " [style=dashed]"
+        else:
+            attrs = ""
+        lines.append(f"  {_dot_quote(s)} -> {_dot_quote(r)}{attrs};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

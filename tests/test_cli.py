@@ -1,15 +1,27 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
-from policyverif.cli import cli_main
+from policyverif.cli import cli_main, render_diff, render_policy
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from helpers import (
+    construct_json_reference,
+    diff_json_reference,
+    export_dot_reference,
+    render_diff_reference,
+    render_policy_reference,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 CABIN = str(SCENARIOS / "cabin.json")
 CABIN_BAD = str(SCENARIOS / "cabin_bad.json")
 
@@ -147,14 +159,16 @@ def test_unwritable_dot_prints_no_result(tmp_path, capsys):
         assert "error:" in captured.err
 
 
+CAFE = {
+    "hosts": ["caf\u00e9", "b"],
+    "flows": [["b", "caf\u00e9"], ["caf\u00e9", "b"]],
+    "invariants": [{"template": "blp_basic", "attributes": {"caf\u00e9": "secret"}}],
+}
+
+
 def test_unencodable_host_names_exit_two(tmp_path, capsys):
-    document = {
-        "hosts": ["caf\u00e9", "b"],
-        "flows": [["b", "caf\u00e9"], ["caf\u00e9", "b"]],
-        "invariants": [{"template": "blp_basic", "attributes": {"caf\u00e9": "secret"}}],
-    }
     path = tmp_path / "cafe.json"
-    path.write_text(json.dumps(document))
+    path.write_text(json.dumps(CAFE))
     for argv, expected in (
         (["verify", str(path)], 2),
         (["construct", str(path)], 2),
@@ -169,6 +183,33 @@ def test_unencodable_host_names_exit_two(tmp_path, capsys):
             assert "use --json" in capsys.readouterr().err
         else:
             assert json.loads(out.buffer.getvalue())["overall"] is False
+
+
+def _run_cli(argv, encoding, cwd):
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "policyverif.cli", *argv],
+                          capture_output=True, env=env, cwd=cwd, timeout=120)
+
+
+def test_a_run_that_exits_two_leaves_no_result(tmp_path):
+    path = tmp_path / "cafe.json"
+    path.write_text(json.dumps(CAFE))
+    for command in ("construct", "diff"):
+        dot = tmp_path / f"{command}.dot"
+        done = _run_cli([command, "--dot", str(dot), str(path)], "utf-8", tmp_path)
+        assert done.returncode == 0 and "caf\u00e9" in dot.read_text(encoding="utf-8")
+        dot.unlink()
+        # a text the stream cannot encode: no DOT file either
+        done = _run_cli([command, "--dot", str(dot), str(path)], "ascii", tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"not encodable as ascii" in done.stderr
+        assert not dot.exists()
+        # a DOT file that cannot be written: nothing printed
+        unwritable = tmp_path / "missing" / f"{command}.dot"
+        done = _run_cli([command, "--dot", str(unwritable), str(path)], "utf-8", tmp_path)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error:")
 
 
 def test_diff_json(tmp_path, capsys):
@@ -246,6 +287,48 @@ def test_report_rendering_caps_display_but_not_json():
 
     data = report_to_data(report)
     assert len(data["invariants"][0]["offending"][0]) == 60
+
+
+# Renderer parity: host names with JSON and DOT escapes, non-ASCII and
+# astral characters and a lone surrogate; empty host sets, no flows and
+# self-flows.  no_transitive_access makes construct non-maximal; 3 hosts keep
+# its enumeration at 2^9 subsets.
+_NAMES = st.text(
+    st.sampled_from(["a", "b", '"', "\\", " ", "\n", "\u00e9", "\U0001f600", "\ud800"]),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def _render_cases(draw):
+    hosts = draw(st.lists(_NAMES, unique=True, max_size=4))
+    pairs = [(s, r) for s in hosts for r in hosts]
+    flows = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    invariants = []
+    if hosts and draw(st.booleans()):
+        config = draw(st.dictionaries(st.sampled_from(hosts), st.sampled_from(list(pv.Clearance))))
+        invariants.append(pv.InvariantInstance(pv.blp_basic(), config))
+    if 0 < len(hosts) <= 3 and draw(st.booleans()):
+        config = draw(st.dictionaries(st.sampled_from(hosts), st.sampled_from(list(pv.ReachRole))))
+        invariants.append(pv.InvariantInstance(pv.no_transitive_access(), config))
+    return pv.make_policy(hosts, flows), invariants
+
+
+@settings(max_examples=200, deadline=None)
+@given(_render_cases())
+def test_renderers_match_reference_encoders(case):
+    policy, invariants = case
+    maximum = pv.construct_max_policy(policy.hosts, invariants)
+    maximal = all(inst.template.edge_pred is not None for inst in invariants)
+    for shown in (policy, maximum):
+        assert (render_policy(shown, maximal, as_json=True)
+                == construct_json_reference(shown, maximal))
+        assert render_policy(shown, maximal) == render_policy_reference(shown, maximal)
+        assert pv.export_dot(shown) == export_dot_reference(shown)
+    result = pv.diff(policy, invariants)
+    assert render_diff(result, as_json=True) == diff_json_reference(result)
+    assert render_diff(result) == render_diff_reference(result)
+    assert pv.export_dot(policy, result) == export_dot_reference(policy, result)
 
 
 # Documents for the exit-code fuzz test: raw bytes, deep nesting, JSON
