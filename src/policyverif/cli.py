@@ -51,7 +51,10 @@ from .templates import (
 DISPLAY_CAP = 50
 
 
-def render_report(report: VerificationReport) -> str:
+def render_report(report: VerificationReport, as_json: bool = False) -> str:
+    """A verification report as text, or as the ``{overall, invariants}`` document."""
+    if as_json:
+        return _report_json(report)
     lines = []
     for index, result in enumerate(report.results, start=1):
         verdict = "ok" if result.holds else "VIOLATED"
@@ -70,6 +73,7 @@ def render_report(report: VerificationReport) -> str:
 
 
 def report_to_data(report: VerificationReport) -> dict:
+    """The report as JSON-ready data; ``render_report`` encodes the same document."""
     return {
         "overall": report.overall,
         "invariants": [
@@ -85,10 +89,10 @@ def report_to_data(report: VerificationReport) -> dict:
     }
 
 
-# The construct and diff documents are encoded directly, in the layout of
-# json.dumps(..., indent=2): with an indent the standard encoder runs in
-# Python, several times slower than building the text from each host's
-# string literal.
+# The verify, construct and diff documents are encoded directly, in the
+# layout of json.dumps(..., indent=2): with an indent the standard encoder
+# runs in Python, several times slower than building the text from each
+# host's string literal.
 
 class _JsonStrings(dict):
     """Host name -> its JSON string literal, each name encoded once, on first use."""
@@ -98,12 +102,36 @@ class _JsonStrings(dict):
         return literal
 
 
-def _json_pairs(pairs, strings: _JsonStrings) -> str:
-    """A list of ``[s, r]`` pairs as the value of a top-level key."""
-    if not pairs:
+def _json_list(items: list, indent: int) -> str:
+    """Encoded items as a list whose key or opening line sits at ``indent`` spaces."""
+    if not items:
         return "[]"
-    blocks = [f"    [\n      {strings[s]},\n      {strings[r]}\n    ]" for s, r in pairs]
-    return "[\n" + ",\n".join(blocks) + "\n  ]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _json_pairs(pairs, strings: _JsonStrings, indent: int = 2) -> str:
+    """A list of ``[s, r]`` pairs whose key or opening line sits at ``indent`` spaces."""
+    inner = "\n" + " " * (indent + 4)
+    head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (indent + 2) + "]"
+    return _json_list([f"{head}{strings[s]}{sep}{strings[r]}{tail}" for s, r in pairs], indent)
+
+
+def _report_json(report: VerificationReport) -> str:
+    strings = _JsonStrings()
+    blocks = []
+    for r in report.results:
+        offending = _json_list([_json_pairs(sorted(fs), strings, 8) for fs in r.offending], 6)
+        hosts = _json_list([strings[h] for h in sorted(r.offender_hosts)], 6)
+        blocks.append(
+            f'{{\n      "name": {json.dumps(r.name)},'
+            f'\n      "strategy": {json.dumps(r.strategy.value)},'
+            f'\n      "holds": {json.dumps(r.holds)},'
+            f'\n      "offending": {offending},'
+            f'\n      "offender_hosts": {hosts}\n    }}'
+        )
+    return (f'{{\n  "overall": {json.dumps(report.overall)},'
+            f'\n  "invariants": {_json_list(blocks, 2)}\n}}')
 
 
 def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -> str:
@@ -115,8 +143,7 @@ def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -
     flows = policy.sorted_flows()
     if as_json:
         strings = _JsonStrings()
-        hosts = [strings[h] for h in policy.sorted_hosts()]
-        host_list = "[\n    " + ",\n    ".join(hosts) + "\n  ]" if hosts else "[]"
+        host_list = _json_list([strings[h] for h in policy.sorted_hosts()], 2)
         return (f'{{\n  "hosts": {host_list},\n  "flows": {_json_pairs(flows, strings)},'
                 f'\n  "maximal": {json.dumps(maximal)}\n}}')
     lines = [f"hosts ({len(policy.hosts)}): {', '.join(policy.sorted_hosts())}",
@@ -139,7 +166,7 @@ def policy_to_data(policy: Policy) -> dict:
 def render_diff(result: PolicyDiff, as_json: bool = False) -> str:
     """A diff as text, or as the ``{violating, permitted_missing, reflexive}`` document."""
     violating = sorted(result.violating)
-    missing = sorted(result.permitted_missing)
+    missing = result.sorted_missing()
     if as_json:
         strings = _JsonStrings()
         return (f'{{\n  "violating": {_json_pairs(violating, strings)},'
@@ -326,8 +353,7 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "verify":
             report = verify(_load(args.file), args.edge_bound)
-            print(json.dumps(report_to_data(report), indent=2) if args.json
-                  else render_report(report))
+            print(render_report(report, args.json))
             return 0 if report.overall else 1
 
         if args.command == "construct":

@@ -10,6 +10,7 @@ user-written policy against that construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .errors import InvariantRejected, UnknownHost
@@ -134,6 +135,14 @@ class PolicyDiff:
     violating: frozenset
     permitted_missing: frozenset
     reflexive: frozenset = field(default_factory=frozenset)
+
+    def sorted_missing(self) -> list:
+        return list(self._sorted_missing)
+
+    @cached_property
+    def _sorted_missing(self) -> tuple:
+        # sorted once per diff: a command that renders text and DOT reuses it
+        return tuple(sorted(self.permitted_missing))
 
 
 def diff(

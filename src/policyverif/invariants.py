@@ -10,12 +10,17 @@ module works for arbitrary templates; the concrete ones live in
 Offending flows (minimal repair options for a violated invariant) come from
 a linear fast path for templates whose predicate decomposes into a per-edge
 check, else from a subset enumeration exponential in the number of flows.
-Tests hold the two to exact agreement.  verify and the secure-default
-checker share that route; the blame rule lives in offenders.  construct
-takes it only for templates without per-edge structure: for edge-local ones
-it asks which pairs of the complete graph fail, once per pair of attribute
-classes (``_forbidden_blocks``), and tests hold that to agreement with the
-per-flow check.
+Tests hold the two to exact agreement.  verify takes that route; the blame
+rule lives in offenders.  construct takes it only for templates without
+per-edge structure: for edge-local ones it asks which pairs of the complete
+graph fail, once per pair of attribute classes (``_forbidden_blocks``), and
+tests hold that to agreement with the per-flow check.
+
+The secure-default checker decides edge-local templates from pairs of
+attributes, a verdict that holds for policies of every size over those
+attributes; other templates get an enumeration of every policy and mapping
+of bounded universes, which says nothing beyond the bound.  Tests hold the
+pairwise decision to exact agreement with the enumeration.
 """
 
 from __future__ import annotations
@@ -308,29 +313,18 @@ def _policies_on(hosts: Sequence[HostId], edge_bound: int) -> Iterator[Policy]:
         yield _derived_policy(hostset, flows)
 
 
-def find_secure_default_counterexample(
+def _bounded_secure_default_counterexample(
     template: Template,
     host_universe: Sequence[HostId],
     attr_universe: Sequence[A],
-    edge_bound: int = 4,
-    candidate: Optional[A] = None,
+    edge_bound: int,
+    candidate: A,
 ):
-    """Exhaustively search bounded universes for a masked violation.
-
-    A default attribute is secure when remapping any offending host to it
-    can never turn a violated invariant into a satisfied one.  This checks
-    every policy over ``host_universe`` with at most ``edge_bound`` flows
-    against every total mapping into ``attr_universe``.  Returns the first
-    ``(policy, mapping, flow_set, host)`` whose violation the candidate
-    masks, or None.  ``candidate`` defaults to the template's own default
-    attribute.  Offending flows and hosts come from the same per-edge route
-    (or enumeration) and :func:`offenders` as in ``verify``.
-
-    The search is a sound falsifier and, within the given universes, a
-    verifier; it cannot speak for larger policies or attribute domains.
-    """
-    if candidate is None:
-        candidate = template.default_attr
+    """The first masked violation in enumeration order, over every policy on
+    ``host_universe`` with at most ``edge_bound`` flows and every total
+    mapping into ``attr_universe``, or None.  A sound falsifier and, within
+    the given universes, a verifier; it cannot speak for larger policies or
+    attribute domains."""
     bare = InvariantInstance(template)  # offenders reads only its template
     hosts = sorted(host_universe)
     for g in _policies_on(hosts, edge_bound):
@@ -348,6 +342,89 @@ def find_secure_default_counterexample(
     return None
 
 
+def _pairwise_secure_default_counterexample(
+    template: Template,
+    host_universe: Sequence[HostId],
+    attr_universe: Sequence[A],
+    edge_bound: int,
+    candidate: A,
+):
+    """A masked violation of an edge-local template, decided from attribute pairs.
+
+    Remapping the blamed host repairs a violation only if it repairs some
+    failing flow at the blamed endpoint.  So the candidate c masks one
+    exactly when some pair (a, b) fails the predicate P while P(c, b) holds
+    (ACS blames the sender) or P(a, c) holds (IFS blames the receiver), or,
+    unless self-flows are exempt, some a fails P(a, a) while P(c, c) holds.
+    A single-flow policy shows each such pair, so the verdict holds for
+    policies of every size over ``attr_universe`` and equals the bounded
+    search's whenever that can build the policy: one flow within
+    ``edge_bound``, and two hosts for a pair across hosts.
+    """
+    hosts = sorted(set(host_universe))
+    if edge_bound < 1 or not hosts:
+        return None
+    edge = template.edge_pred
+    check = edge.predicate
+    acs = template.strategy is Strategy.ACS
+    if len(hosts) > 1:
+        for a in attr_universe:
+            for b in attr_universe:
+                if not check(a, b) and (check(candidate, b) if acs else check(a, candidate)):
+                    return _single_flow_witness(template, hosts, hosts[1], a, b, acs)
+    if not edge.exempt_reflexive and check(candidate, candidate):
+        for a in attr_universe:
+            if not check(a, a):
+                return _single_flow_witness(template, hosts, hosts[0], a, a, acs)
+    return None
+
+
+def _single_flow_witness(template: Template, hosts: list, receiver: HostId, a, b, acs: bool):
+    """The policy with the one flow ``hosts[0] -> receiver``, whose sender
+    has attribute ``a`` and receiver ``b``; every other host gets ``a``."""
+    sender = hosts[0]
+    assignment = dict.fromkeys(hosts, a)
+    assignment[receiver] = b
+    flow_set = frozenset({(sender, receiver)})
+    g = _derived_policy(frozenset(hosts), flow_set)
+    mapping = HostMapping(assignment, template.default_attr)
+    return g, mapping, flow_set, sender if acs else receiver
+
+
+def find_secure_default_counterexample(
+    template: Template,
+    host_universe: Sequence[HostId],
+    attr_universe: Sequence[A],
+    edge_bound: int = 4,
+    candidate: Optional[A] = None,
+):
+    """A policy whose violation the candidate default masks, or None.
+
+    A default attribute is secure when remapping any offending host to it
+    can never turn a violated invariant into a satisfied one.  The search
+    space is every policy over ``host_universe`` with at most ``edge_bound``
+    flows, under every total mapping into ``attr_universe``; a
+    counterexample is a ``(policy, mapping, flow_set, host)`` from it.
+    ``candidate`` defaults to the template's own default attribute.
+    Offending flows and hosts follow the same rules as in ``verify``.
+
+    For edge-local templates the decision comes from attribute pairs, and
+    its verdict holds for policies of every size over ``attr_universe``;
+    the counterexample is a single-flow policy between the first two
+    sorted hosts, or a self-flow of the first.  Other templates take the
+    bounded enumeration, which returns the first counterexample in
+    enumeration order and cannot speak for larger policies or attribute
+    domains.
+    """
+    if candidate is None:
+        candidate = template.default_attr
+    if template.edge_pred is not None:
+        route = _pairwise_secure_default_counterexample
+    else:
+        route = _bounded_secure_default_counterexample
+    return route(template, host_universe, attr_universe, edge_bound, candidate)
+
+
 def check_secure_default(
     template: Template,
     host_universe: Sequence[HostId],
@@ -355,7 +432,11 @@ def check_secure_default(
     edge_bound: int = 4,
     candidate: Optional[A] = None,
 ) -> bool:
-    """True when no bounded counterexample shows the default masking a violation."""
+    """True when no counterexample shows the default masking a violation.
+
+    Exact for edge-local templates; otherwise exhaustive within the bounded
+    universes of :func:`find_secure_default_counterexample`.
+    """
     return (
         find_secure_default_counterexample(
             template, host_universe, attr_universe, edge_bound, candidate
@@ -372,9 +453,9 @@ def check_unique_default(
 ) -> bool:
     """The template's default is secure and every other candidate is not.
 
-    Exhaustive over the same bounded universes as
-    :func:`check_secure_default`; ``attr_universe`` must contain the
-    template's default attribute.
+    Decided as :func:`check_secure_default` decides, candidate by
+    candidate; ``attr_universe`` must contain the template's default
+    attribute.
     """
     if template.default_attr not in attr_universe:
         raise ValueError("attribute universe must contain the template default")

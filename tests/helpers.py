@@ -203,6 +203,10 @@ def _flow_str(flow):
     return f"{flow[0]} -> {flow[1]}"
 
 
+def verify_json_reference(report):
+    return json.dumps(cli.report_to_data(report), indent=2)
+
+
 def construct_json_reference(policy, maximal):
     data = cli.policy_to_data(policy)
     data["maximal"] = maximal

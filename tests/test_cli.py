@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
-from policyverif.cli import cli_main, render_diff, render_policy
+from policyverif.cli import cli_main, render_diff, render_policy, render_report
 
 from helpers import (
     construct_json_reference,
@@ -18,6 +18,7 @@ from helpers import (
     export_dot_reference,
     render_diff_reference,
     render_policy_reference,
+    verify_json_reference,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -274,7 +275,7 @@ def test_selftest_rejects_garbage_seed(capsys, monkeypatch):
 
 
 def test_report_rendering_caps_display_but_not_json():
-    from policyverif.cli import render_report, report_to_data
+    from policyverif.cli import report_to_data
 
     hosts = {"src"} | {f"t{i:02d}" for i in range(60)}
     flows = {("src", f"t{i:02d}") for i in range(60)}
@@ -325,10 +326,28 @@ def test_renderers_match_reference_encoders(case):
                 == construct_json_reference(shown, maximal))
         assert render_policy(shown, maximal) == render_policy_reference(shown, maximal)
         assert pv.export_dot(shown) == export_dot_reference(shown)
+    report = pv.verify(pv.Scenario(policy, invariants))
+    assert render_report(report, as_json=True) == verify_json_reference(report)
     result = pv.diff(policy, invariants)
     assert render_diff(result, as_json=True) == diff_json_reference(result)
     assert render_diff(result) == render_diff_reference(result)
     assert pv.export_dot(policy, result) == export_dot_reference(policy, result)
+
+
+def test_verify_json_matches_reference_with_several_repair_options():
+    # two disjoint source-sink routes give four repair sets; blp_basic holds
+    s, a, b, t = 'q"s', "b\\a", "\u00e9", "\U0001f600"
+    policy = pv.make_policy({s, a, b, t}, {(s, a), (a, t), (s, b), (b, t)})
+    reach = pv.InvariantInstance(
+        pv.no_transitive_access(),
+        {s: pv.ReachRole.src, t: pv.ReachRole.snk, a: pv.ReachRole.none, b: pv.ReachRole.none},
+    )
+    report = pv.verify(pv.Scenario(policy, (pv.InvariantInstance(pv.blp_basic()), reach)))
+    assert [r.holds for r in report.results] == [True, False]
+    assert len(report.results[1].offending) == 4
+    assert render_report(report, as_json=True) == verify_json_reference(report)
+    empty = pv.verify(pv.Scenario(pv.make_policy(set(), set())))
+    assert render_report(empty, as_json=True) == verify_json_reference(empty)
 
 
 # Documents for the exit-code fuzz test: raw bytes, deep nesting, JSON

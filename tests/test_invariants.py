@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
+from policyverif.cli import _SELFTEST_ATTRS
+from policyverif.invariants import _bounded_secure_default_counterexample
 
 from helpers import (
     CORPUS,
@@ -337,6 +339,77 @@ def test_blp_unique_default_two_hosts():
 def test_unique_default_requires_candidate_in_universe():
     with pytest.raises(ValueError):
         pv.check_unique_default(pv.blp_basic(), ["u"], [pv.Clearance.secret])
+
+
+# The pairwise decision for edge-local templates against the bounded
+# enumeration it replaces.  The custom templates reach the self-flow rule:
+# with attributes {0, 1} and candidate 0, no cross-host pair is masked, but
+# the self-flow of an attribute-1 host is, unless self-flows are exempt.
+def _self_flow_templates():
+    return [
+        pv.edge_template(f"self_{strategy.value}_{exempt}", strategy, 0, predicate, exempt)
+        for strategy, predicate in (
+            (pv.Strategy.ACS, lambda a, b: b == 0),
+            (pv.Strategy.IFS, lambda a, b: a == 0),
+        )
+        for exempt in (False, True)
+    ]
+
+
+def _default_agreement_cases():
+    for name, entry in pv.TEMPLATE_REGISTRY.items():
+        if entry.template.edge_pred is not None:
+            yield entry.template, _SELFTEST_ATTRS[name], (1, 2, 3)
+    yield pv.domain_hierarchy(), pv.domain_fragment(depth=3, max_trust=2), (2,)
+    for template in _self_flow_templates():
+        yield template, [0, 1], (1, 2, 3)
+
+
+def _assert_masking_witness(template, host_universe, attr_universe, edge_bound, candidate, found):
+    g, mapping, flow_set, host = found
+    assert g.hosts == frozenset(host_universe)
+    assert 1 <= len(g.flows) <= edge_bound
+    assert set(mapping.entries) == g.hosts
+    assert all(attr in attr_universe for attr in mapping.entries.values())
+    assert not template.evaluate(g, mapping)
+    inst = pv.InvariantInstance(template, mapping.entries)
+    assert flow_set in pv.offending_flows_bruteforce(inst, g)
+    assert host in pv.offenders(inst, flow_set)
+    remapped = pv.HostMapping({**mapping.entries, host: candidate}, mapping.default)
+    assert template.evaluate(g, remapped)
+
+
+def test_pairwise_default_decision_agrees_with_bounded_enumeration():
+    checked = 0
+    for template, attrs, host_counts in _default_agreement_cases():
+        assert template.edge_pred is not None
+        for host_count in host_counts:
+            hosts = [f"h{i}" for i in range(host_count)]
+            for edge_bound in range(5):
+                for candidate in attrs:
+                    found = pv.find_secure_default_counterexample(
+                        template, hosts, attrs, edge_bound, candidate
+                    )
+                    bounded = _bounded_secure_default_counterexample(
+                        template, hosts, attrs, edge_bound, candidate
+                    )
+                    assert (found is None) == (bounded is None), (
+                        template.name, host_count, edge_bound, candidate)
+                    if found is not None:
+                        _assert_masking_witness(
+                            template, hosts, attrs, edge_bound, candidate, found)
+                    checked += 1
+    assert checked > 600
+
+
+def test_self_flow_rule_decides_the_custom_templates():
+    for template in _self_flow_templates():
+        found = pv.find_secure_default_counterexample(template, ["u", "v"], [0, 1])
+        if template.edge_pred.exempt_reflexive:
+            assert found is None
+        else:
+            assert found is not None
+            assert found[2] == frozenset({("u", "u")})
 
 
 # ---------------------------------------------------------------------------
