@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -348,6 +349,23 @@ def test_verify_json_matches_reference_with_several_repair_options():
     assert render_report(report, as_json=True) == verify_json_reference(report)
     empty = pv.verify(pv.Scenario(pv.make_policy(set(), set())))
     assert render_report(empty, as_json=True) == verify_json_reference(empty)
+
+
+# Golden documents: the stdout of each command, committed byte for byte.  The
+# references above read the same data forms as the program, so only these
+# catch a slip in a data form itself (key order, a lost sort, a dropped key).
+_GOLDEN = [
+    (["verify", "--json", CABIN_BAD], 1, "verify_cabin_bad.json"),
+    (["construct", "--json", CABIN], 0, "construct_cabin.json"),
+    (["diff", "--json", CABIN_BAD], 0, "diff_cabin_bad.json"),
+]
+
+
+@pytest.mark.parametrize("argv, code, golden", _GOLDEN, ids=[g for _, _, g in _GOLDEN])
+def test_json_documents_match_golden_files(argv, code, golden, capsys):
+    assert cli_main(argv) == code
+    expected = (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
 
 
 # Documents for the exit-code fuzz test: raw bytes, deep nesting, JSON
