@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .engine import (
     PolicyDiff,
@@ -52,9 +53,9 @@ DISPLAY_CAP = 50
 
 
 def render_report(report: VerificationReport, as_json: bool = False) -> str:
-    """A verification report as text, or as the ``{overall, invariants}`` document."""
+    """A verification report as text, or as the ``report_to_data`` document."""
     if as_json:
-        return _report_json(report)
+        return _json(report_to_data(report), _JsonStrings())
     lines = []
     for index, result in enumerate(report.results, start=1):
         verdict = "ok" if result.holds else "VIOLATED"
@@ -73,7 +74,7 @@ def render_report(report: VerificationReport, as_json: bool = False) -> str:
 
 
 def report_to_data(report: VerificationReport) -> dict:
-    """The report as JSON-ready data; ``render_report`` encodes the same document."""
+    """The ``verify --json`` document: its keys, their order and content."""
     return {
         "overall": report.overall,
         "invariants": [
@@ -81,7 +82,7 @@ def report_to_data(report: VerificationReport) -> dict:
                 "name": r.name,
                 "strategy": r.strategy.value,
                 "holds": r.holds,
-                "offending": [[list(f) for f in sorted(fs)] for fs in r.offending],
+                "offending": [sorted(fs) for fs in r.offending],
                 "offender_hosts": sorted(r.offender_hosts),
             }
             for r in report.results
@@ -89,63 +90,58 @@ def report_to_data(report: VerificationReport) -> dict:
     }
 
 
-# The verify, construct and diff documents are encoded directly, in the
-# layout of json.dumps(..., indent=2): with an indent the standard encoder
-# runs in Python, several times slower than building the text from each
-# host's string literal.
+# Every --json document is its data form encoded by _json, in the layout of
+# json.dumps(..., indent=2): with an indent the standard encoder runs in
+# Python, several times slower than building the text from each host's
+# string literal.
 
 class _JsonStrings(dict):
-    """Host name -> its JSON string literal, each name encoded once, on first use."""
+    """String -> its JSON literal, each string encoded once, on first use, by
+    the encoder that ``json.dumps`` itself calls for a string."""
 
     def __missing__(self, name: str) -> str:
-        literal = self[name] = json.dumps(name)
+        literal = self[name] = encode_basestring_ascii(name)
         return literal
 
 
-def _json_list(items: list, indent: int) -> str:
-    """Encoded items as a list whose key or opening line sits at ``indent`` spaces."""
-    if not items:
-        return "[]"
+def _json(value, strings: _JsonStrings, indent: int = 0) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, its opening line at
+    ``indent`` spaces.
+
+    Dicts need string keys.  A list whose first item is a tuple must hold only
+    ``(sender, receiver)`` pairs of strings: it is written one f-string per pair.
+    """
+    if isinstance(value, str):
+        return strings[value]
+    if value is True or value is False:
+        return "true" if value else "false"
+    if not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     pad = "\n" + " " * (indent + 2)
+    if isinstance(value, dict):
+        items = [f"{strings[k]}: {_json(v, strings, indent + 2)}" for k, v in value.items()]
+        return "{" + pad + ("," + pad).join(items) + "\n" + " " * indent + "}"
+    if isinstance(value[0], tuple):
+        inner = "\n" + " " * (indent + 4)
+        head, sep, tail = "[" + inner, "," + inner, pad + "]"
+        items = [f"{head}{strings[s]}{sep}{strings[r]}{tail}" for s, r in value]
+    else:
+        items = [_json(v, strings, indent + 2) for v in value]
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def _json_pairs(pairs, strings: _JsonStrings, indent: int = 2) -> str:
-    """A list of ``[s, r]`` pairs whose key or opening line sits at ``indent`` spaces."""
-    inner = "\n" + " " * (indent + 4)
-    head, sep, tail = "[" + inner, "," + inner, "\n" + " " * (indent + 2) + "]"
-    return _json_list([f"{head}{strings[s]}{sep}{strings[r]}{tail}" for s, r in pairs], indent)
-
-
-def _report_json(report: VerificationReport) -> str:
-    strings = _JsonStrings()
-    blocks = []
-    for r in report.results:
-        offending = _json_list([_json_pairs(sorted(fs), strings, 8) for fs in r.offending], 6)
-        hosts = _json_list([strings[h] for h in sorted(r.offender_hosts)], 6)
-        blocks.append(
-            f'{{\n      "name": {json.dumps(r.name)},'
-            f'\n      "strategy": {json.dumps(r.strategy.value)},'
-            f'\n      "holds": {json.dumps(r.holds)},'
-            f'\n      "offending": {offending},'
-            f'\n      "offender_hosts": {hosts}\n    }}'
-        )
-    return (f'{{\n  "overall": {json.dumps(report.overall)},'
-            f'\n  "invariants": {_json_list(blocks, 2)}\n}}')
-
-
 def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -> str:
-    """A constructed policy as text, or as the ``{hosts, flows, maximal}`` document.
+    """A constructed policy as text, or as the ``policy_to_data`` document plus
+    ``maximal``.
 
     ``maximal`` is false when the policy may not be the unique maximum; the
     text then ends with a note.
     """
-    flows = policy.sorted_flows()
     if as_json:
-        strings = _JsonStrings()
-        host_list = _json_list([strings[h] for h in policy.sorted_hosts()], 2)
-        return (f'{{\n  "hosts": {host_list},\n  "flows": {_json_pairs(flows, strings)},'
-                f'\n  "maximal": {json.dumps(maximal)}\n}}')
+        return _json({**policy_to_data(policy), "maximal": maximal}, _JsonStrings())
+    flows = policy.sorted_flows()
     lines = [f"hosts ({len(policy.hosts)}): {', '.join(policy.sorted_hosts())}",
              f"flows ({len(flows)}):"]
     lines += [f"  {s} -> {r}" for s, r in flows]
@@ -156,22 +152,16 @@ def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -
 
 
 def policy_to_data(policy: Policy) -> dict:
-    """The policy as JSON-ready data; ``render_policy`` encodes the same document."""
-    return {
-        "hosts": policy.sorted_hosts(),
-        "flows": [[s, r] for s, r in policy.sorted_flows()],
-    }
+    """The ``construct --json`` document without its ``maximal`` key."""
+    return {"hosts": policy.sorted_hosts(), "flows": policy.sorted_flows()}
 
 
 def render_diff(result: PolicyDiff, as_json: bool = False) -> str:
-    """A diff as text, or as the ``{violating, permitted_missing, reflexive}`` document."""
+    """A diff as text, or as the ``diff_to_data`` document."""
+    if as_json:
+        return _json(diff_to_data(result), _JsonStrings())
     violating = sorted(result.violating)
     missing = result.sorted_missing()
-    if as_json:
-        strings = _JsonStrings()
-        return (f'{{\n  "violating": {_json_pairs(violating, strings)},'
-                f'\n  "permitted_missing": {_json_pairs(missing, strings)},'
-                f'\n  "reflexive": {_json_pairs(sorted(result.reflexive), strings)}\n}}')
     lines = [f"violating flows ({len(violating)}):"]
     lines += [f"  {s} -> {r}" for s, r in violating]
     lines.append(f"permitted but missing ({len(missing)}):")
@@ -183,11 +173,11 @@ def render_diff(result: PolicyDiff, as_json: bool = False) -> str:
 
 
 def diff_to_data(result: PolicyDiff) -> dict:
-    """The diff as JSON-ready data; ``render_diff`` encodes the same document."""
+    """The ``diff --json`` document: its keys, their order and content."""
     return {
-        "violating": [[s, r] for s, r in sorted(result.violating)],
-        "permitted_missing": [[s, r] for s, r in sorted(result.permitted_missing)],
-        "reflexive": [[s, r] for s, r in sorted(result.reflexive)],
+        "violating": sorted(result.violating),
+        "permitted_missing": result.sorted_missing(),
+        "reflexive": sorted(result.reflexive),
     }
 
 

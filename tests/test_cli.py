@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
+from policyverif import cli
 from policyverif.cli import cli_main, render_diff, render_policy, render_report
 
 from helpers import (
@@ -349,6 +350,27 @@ def test_verify_json_matches_reference_with_several_repair_options():
     assert render_report(report, as_json=True) == verify_json_reference(report)
     empty = pv.verify(pv.Scenario(pv.make_policy(set(), set())))
     assert render_report(empty, as_json=True) == verify_json_reference(empty)
+
+
+# The encoder on its own: nested dicts and lists of strings, booleans,
+# integers and None, with lists of (sender, receiver) pairs always
+# homogeneous, as its contract asks.
+_JSON_TEXT = st.text(
+    st.sampled_from(["a", '"', "\\", "\n", "\t", "é", "\U0001f600", "\ud800"]), max_size=4
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(_JSON_TEXT, st.booleans(), st.integers(), st.none(),
+              st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT))),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(_JSON_TEXT, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_encoder_matches_json_dumps(value):
+    assert cli._json(value, cli._JsonStrings()) == json.dumps(value, indent=2)
 
 
 # Golden documents: the stdout of each command, committed byte for byte.  The
