@@ -40,14 +40,8 @@ from .invariants import (
     offending_flows,
     offending_flows_bruteforce,
 )
-from .scenario import TEMPLATE_REGISTRY, parse_scenario
-from .templates import (
-    BlpTrustAttr,
-    Clearance,
-    ReachRole,
-    SgwRole,
-    domain_fragment,
-)
+from .scenario import parse_scenario
+from .templates import TEMPLATE_REGISTRY, TemplateIO
 
 DISPLAY_CAP = 50
 
@@ -208,73 +202,58 @@ def _load(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # selftest
 
-_SELFTEST_ATTRS = {
-    "blp_basic": list(Clearance),
-    "blp_trust": [BlpTrustAttr(sc, trust) for sc in Clearance for trust in (False, True)],
-    "domain_hierarchy": domain_fragment(depth=2, max_trust=1),
-    "security_gateway": list(SgwRole),
-    "no_transitive_access": list(ReachRole),
-}
-
-
-def _random_instance(rng: random.Random, name: str):
-    template = TEMPLATE_REGISTRY[name].template
-    attrs = _SELFTEST_ATTRS[name]
+def _random_instance(rng: random.Random, entry: TemplateIO):
     n = rng.randint(1, 4)
     hosts = [f"h{i}" for i in range(n)]
     pairs = [(a, b) for a in hosts for b in hosts]
     rng.shuffle(pairs)
     policy = make_policy(hosts, pairs[: rng.randint(0, min(8, len(pairs)))])
-    config = {h: rng.choice(attrs) for h in hosts if rng.random() < 0.8}
-    return InvariantInstance(template, config), policy
+    config = {h: rng.choice(entry.universe) for h in hosts if rng.random() < 0.8}
+    return InvariantInstance(entry.template, config), policy
 
 
-def run_selftest(seed: int, trials: int, out=print) -> bool:
+def _repair_is_monotone(inst: InvariantInstance, policy: Policy, rng: random.Random) -> bool:
+    """Removing every offending flow satisfies ``inst``, and the repaired
+    policy passes the monotonicity check."""
+    removal = {f for fs in offending_flows(inst, policy) for f in fs}
+    satisfied = policy.without_flows(removal)
+    return eval_instance(inst, satisfied) and check_monotonicity(
+        inst, satisfied, 4, rng.randrange(2**30)
+    )
+
+
+def _fast_path_agrees(inst: InvariantInstance, policy: Policy) -> bool:
+    return set(offending_flows(inst, policy)) == set(offending_flows_bruteforce(inst, policy))
+
+
+def _checks(entry: TemplateIO, trials: int, rng: random.Random):
+    """Each selftest check of one registered template, as (label, passed)."""
+    template = entry.template
+    yield "deny-all validity", check_deny_all_validity(
+        InvariantInstance(template, {}), {"x", "y", "z"}
+    )
+    yield f"monotonicity ({trials} policies)", all(
+        _repair_is_monotone(*_random_instance(rng, entry), rng) for _ in range(trials)
+    )
+    if template.edge_pred is not None:
+        yield f"fast path agrees with enumeration ({trials} policies)", all(
+            _fast_path_agrees(*_random_instance(rng, entry)) for _ in range(trials)
+        )
+    yield "secure default (2-host universe)", check_secure_default(
+        template, ["u", "v"], entry.universe, edge_bound=4
+    )
+
+
+def run_selftest(seed: int, trials: int) -> bool:
     """Seeded sanity checks over every registered template."""
     rng = random.Random(seed)
     ok = True
-
-    def record(label: str, passed: bool):
-        nonlocal ok
-        ok = ok and passed
-        out(f"  {label}: {'ok' if passed else 'FAILED'}")
-
     for name in sorted(TEMPLATE_REGISTRY):
-        out(f"{name}")
-        inst_empty = InvariantInstance(TEMPLATE_REGISTRY[name].template, {})
-        record("deny-all validity", check_deny_all_validity(inst_empty, {"x", "y", "z"}))
-
-        passed = True
-        for _ in range(trials):
-            inst, policy = _random_instance(rng, name)
-            removal = {f for fs in offending_flows(inst, policy) for f in fs}
-            satisfied = policy.without_flows(removal)
-            if not eval_instance(inst, satisfied):
-                passed = False
-                break
-            if not check_monotonicity(inst, satisfied, 4, rng.randrange(2**30)):
-                passed = False
-                break
-        record(f"monotonicity ({trials} policies)", passed)
-
-        if TEMPLATE_REGISTRY[name].template.edge_pred is not None:
-            passed = True
-            for _ in range(trials):
-                inst, policy = _random_instance(rng, name)
-                fast = set(offending_flows(inst, policy))
-                brute = set(offending_flows_bruteforce(inst, policy))
-                if fast != brute:
-                    passed = False
-                    break
-            record(f"fast path agrees with enumeration ({trials} policies)", passed)
-
-        template = TEMPLATE_REGISTRY[name].template
-        record(
-            "secure default (2-host universe)",
-            check_secure_default(template, ["u", "v"], _SELFTEST_ATTRS[name], edge_bound=4),
-        )
-
-    out(f"selftest: {'ok' if ok else 'FAILED'}")
+        print(name)
+        for label, passed in _checks(TEMPLATE_REGISTRY[name], trials, rng):
+            print(f"  {label}: {'ok' if passed else 'FAILED'}")
+            ok = ok and passed
+    print(f"selftest: {'ok' if ok else 'FAILED'}")
     return ok
 
 

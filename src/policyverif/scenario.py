@@ -11,19 +11,17 @@ A scenario file is a JSON object with three keys::
     }
 
 Attribute literal syntax is defined per template next to the template
-itself; see the registry below for the mapping from template names to
-parsers.  Loading is strict: duplicate hosts or flows, host names holding
-line breaks or control characters, unknown keys, unknown hosts, and
-malformed literals are all hard errors.  Semantic errors
-report the structural path of the offending element; JSON syntax errors
-carry line and column.
+itself; see ``TEMPLATE_REGISTRY`` in ``templates.py`` for the mapping from
+template names to parsers.  Loading is strict: duplicate hosts or flows,
+host names holding line breaks or control characters, unknown keys, unknown
+hosts, and malformed literals are all hard errors.  Semantic errors report
+the structural path of the offending element; JSON syntax errors carry line
+and column.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable
 
 from .engine import Scenario
 from .errors import (
@@ -35,40 +33,8 @@ from .errors import (
     UnknownTemplate,
 )
 from .graph import _derived_policy
-from .invariants import InvariantInstance, Template
-from .templates import (
-    Clearance,
-    ReachRole,
-    SgwRole,
-    _enum_codec,
-    blp_basic,
-    blp_trust,
-    domain_hierarchy,
-    format_blp_trust,
-    format_dom_attr,
-    no_transitive_access,
-    parse_blp_trust,
-    parse_dom_attr,
-    security_gateway,
-)
-
-
-@dataclass(frozen=True)
-class TemplateIO:
-    """A registered template with its attribute literal codec."""
-
-    template: Template
-    parse_attr: Callable
-    format_attr: Callable
-
-
-TEMPLATE_REGISTRY = {
-    "blp_basic": TemplateIO(blp_basic(), *_enum_codec(Clearance)),
-    "blp_trust": TemplateIO(blp_trust(), parse_blp_trust, format_blp_trust),
-    "domain_hierarchy": TemplateIO(domain_hierarchy(), parse_dom_attr, format_dom_attr),
-    "security_gateway": TemplateIO(security_gateway(), *_enum_codec(SgwRole)),
-    "no_transitive_access": TemplateIO(no_transitive_access(), *_enum_codec(ReachRole)),
-}
+from .invariants import InvariantInstance
+from .templates import TEMPLATE_REGISTRY
 
 
 def _no_duplicate_keys(pairs):

@@ -15,15 +15,17 @@ Shipped templates:
   hosts must not reach designated sink hosts over any path).  It has no
   per-edge structure, so it exercises the brute-force analysis route.
 
-The literal parse/format helpers define the attribute syntax used in
-scenario files.
+Each template is described once, by its entry in ``TEMPLATE_REGISTRY`` at
+the end of this module: the template, the parse/format codec of its attribute
+literals in scenario files, and the finite attribute universe that
+``selftest`` draws from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import HostMapping, Policy
 from .invariants import Strategy, Template, edge_template
@@ -101,29 +103,26 @@ def blp_trust() -> Template:
 # ---------------------------------------------------------------------------
 # domain hierarchy
 
-_KIND_UNASSIGNED, _KIND_NAME, _KIND_TOP = 0, 1, 2
-
-
 @dataclass(frozen=True)
 class DomainName:
-    """A position in a dotted-name hierarchy, or one of two synthetic ends.
+    """A position in a dotted-name hierarchy, or the unassigned bottom.
 
-    Regular positions carry their labels most-specific-first, so the
-    wheels sub-department of engineering at company cc is
-    ``("wh", "e", "cc")``.  UNASSIGNED sits below every position and is the
-    level of hosts nobody configured.  TOP sits above every position; it is
-    not assignable to hosts and only arises when trust saturates ``chop``.
+    Positions carry their labels most-specific-first, so the wheels
+    sub-department of engineering at company cc is ``("wh", "e", "cc")``.
+    The empty name ``()`` is the root, TOP: it sits above every position,
+    is not assignable to hosts and only arises when ``chop`` strips every
+    label.  UNASSIGNED (labels ``None``) sits below every position and
+    is the level of hosts nobody configured.
     """
 
-    kind: int
-    labels: tuple = ()
+    labels: tuple | None
 
     def __repr__(self):
         return f"DomainName({format_domain(self)!r})"
 
 
-UNASSIGNED = DomainName(_KIND_UNASSIGNED)
-TOP = DomainName(_KIND_TOP)
+UNASSIGNED = DomainName(None)
+TOP = DomainName(())
 
 
 def domain_name(dotted: str) -> DomainName:
@@ -133,25 +132,25 @@ def domain_name(dotted: str) -> DomainName:
     labels = tuple(dotted.split("."))
     if any(not label for label in labels):
         raise ValueError(f"domain name {dotted!r} has an empty label")
-    return DomainName(_KIND_NAME, labels)
+    return DomainName(labels)
 
 
 def format_domain(d: DomainName) -> str:
-    if d.kind == _KIND_NAME:
-        return ".".join(d.labels)
-    return "<unassigned>" if d.kind == _KIND_UNASSIGNED else "<top>"
+    if d.labels is None:
+        return "<unassigned>"
+    return ".".join(d.labels) or "<top>"
 
 
 def leq_domain(a: DomainName, b: DomainName) -> bool:
     """Is ``a`` below or at the same hierarchy position as ``b``?
 
-    Regular names compare by the suffix relation (``wh.e.cc`` is below
-    ``e.cc`` and ``cc``, but unrelated to ``br.e.cc``).  UNASSIGNED is below
-    everything and TOP above everything.
+    Names compare by the suffix relation (``wh.e.cc`` is below ``e.cc`` and
+    ``cc``, but unrelated to ``br.e.cc``), so TOP, the empty name, is above
+    everything.  UNASSIGNED is below everything.
     """
-    if a.kind == _KIND_UNASSIGNED or b.kind == _KIND_TOP:
+    if a.labels is None:
         return True
-    if a.kind == _KIND_TOP or b.kind == _KIND_UNASSIGNED:
+    if b.labels is None:
         return False
     n = len(b.labels)
     return len(a.labels) >= n and a.labels[len(a.labels) - n:] == b.labels
@@ -161,14 +160,14 @@ def chop(d: DomainName, n: int) -> DomainName:
     """Strip the ``n`` most specific labels, the hierarchy ascent a trust
     level of ``n`` grants.
 
-    Chopping everything (or more) saturates to TOP: such a host may act as
-    if it sat at the hierarchy root.  The synthetic ends are fixed points.
+    Chopping everything (or more) reaches TOP: such a host may act as if it
+    sat at the hierarchy root.  TOP and UNASSIGNED are fixed points.
     """
-    if n <= 0 or d.kind != _KIND_NAME:
+    if n <= 0 or not d.labels:
         return d
     if n >= len(d.labels):
         return TOP
-    return DomainName(_KIND_NAME, d.labels[n:])
+    return DomainName(d.labels[n:])
 
 
 @dataclass(frozen=True)
@@ -209,9 +208,9 @@ def parse_dom_attr(literal) -> DomAttr:
 
 
 def format_dom_attr(value: DomAttr) -> dict:
-    if value.level.kind != _KIND_NAME:
-        # the synthetic ends are not assignable in scenario files: omitting a
-        # host already means the unassigned bottom, and granting TOP directly
+    if not value.level.labels:
+        # the two ends are not assignable in scenario files: omitting a host
+        # already means the unassigned bottom, and granting TOP directly
         # would hand out unlimited command power by typo
         raise ValueError(f"level {format_domain(value.level)} is not representable; omit the host instead")
     return {"level": format_domain(value.level), "trust": value.trust}
@@ -356,5 +355,42 @@ def domain_fragment(depth: int = 3, labels: tuple = ("a", "b"), max_trust: int =
         if not name:
             continue
         for trust in range(max_trust + 1):
-            fragment.append(DomAttr(DomainName(_KIND_NAME, name), trust))
+            fragment.append(DomAttr(DomainName(name), trust))
     return fragment
+
+
+# ---------------------------------------------------------------------------
+# the registry: one entry per template
+
+
+@dataclass(frozen=True)
+class TemplateIO:
+    """A registered template with its attribute literal codec and the finite
+    attribute universe that ``selftest`` draws from."""
+
+    template: Template
+    parse_attr: Callable
+    format_attr: Callable
+    universe: tuple
+
+
+TEMPLATE_REGISTRY = {
+    entry.template.name: entry
+    for entry in (
+        TemplateIO(blp_basic(), *_enum_codec(Clearance), tuple(Clearance)),
+        TemplateIO(
+            blp_trust(),
+            parse_blp_trust,
+            format_blp_trust,
+            tuple(BlpTrustAttr(sc, trust) for sc in Clearance for trust in (False, True)),
+        ),
+        TemplateIO(
+            domain_hierarchy(),
+            parse_dom_attr,
+            format_dom_attr,
+            tuple(domain_fragment(depth=2, max_trust=1)),
+        ),
+        TemplateIO(security_gateway(), *_enum_codec(SgwRole), tuple(SgwRole)),
+        TemplateIO(no_transitive_access(), *_enum_codec(ReachRole), tuple(ReachRole)),
+    )
+}

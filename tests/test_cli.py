@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 import policyverif as pv
 from policyverif import cli
 from policyverif.cli import cli_main, render_diff, render_policy, render_report
+from policyverif.templates import TemplateIO
 
 from helpers import (
+    always_false_template,
     construct_json_reference,
     diff_json_reference,
     export_dot_reference,
@@ -268,6 +270,25 @@ def test_selftest_runs_clean(capsys, monkeypatch):
     assert cli_main(["selftest", "--trials", "5"]) == 0
     out = capsys.readouterr().out
     assert "selftest: ok" in out
+
+
+def test_selftest_reports_a_failing_registered_template(capsys, monkeypatch):
+    # a registry entry alone is enough for selftest to check a template
+    monkeypatch.setitem(
+        pv.TEMPLATE_REGISTRY, "always_false", TemplateIO(always_false_template(), str, str, (None,))
+    )
+    assert cli_main(["selftest", "--trials", "2"]) == 1
+    sections = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("  "):
+            sections[name].append(line)
+        else:
+            name = line
+            sections[name] = []
+    assert "  deny-all validity: FAILED" in sections.pop("always_false")
+    assert line == "selftest: FAILED" and sections.pop(line) == []
+    assert set(sections) == set(pv.TEMPLATE_REGISTRY) - {"always_false"}
+    assert all(check.endswith(": ok") for checks in sections.values() for check in checks)
 
 
 def test_selftest_rejects_garbage_seed(capsys, monkeypatch):

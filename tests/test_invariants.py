@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
-from policyverif.cli import _SELFTEST_ATTRS
 from policyverif.invariants import _bounded_secure_default_counterexample
 
 from helpers import (
@@ -336,6 +336,20 @@ def test_blp_unique_default_two_hosts():
     assert pv.check_unique_default(pv.blp_basic(), ["u", "v"], list(pv.Clearance), edge_bound=3)
 
 
+def test_unique_default_rejects_a_masking_or_a_rival_default():
+    # the default masks a violation: a blamed receiver remapped to topsecret
+    # accepts every flow
+    masking = pv.edge_template("t", pv.Strategy.IFS, pv.Clearance.topsecret, lambda s, r: s <= r)
+    assert not pv.check_unique_default(masking, ["u", "v"], list(pv.Clearance))
+    # every candidate is secure when the predicate always holds
+    rival = pv.edge_template("t", pv.Strategy.ACS, 0, lambda a, b: True)
+    assert not pv.check_unique_default(rival, ["u", "v"], [0, 1])
+    # the bounded route, without per-edge structure: a none default masks a
+    # path from a source to a sink
+    reach = dataclasses.replace(pv.no_transitive_access(), default_attr=pv.ReachRole.none)
+    assert not pv.check_unique_default(reach, ["u", "v", "w"], list(pv.ReachRole), edge_bound=3)
+
+
 def test_unique_default_requires_candidate_in_universe():
     with pytest.raises(ValueError):
         pv.check_unique_default(pv.blp_basic(), ["u"], [pv.Clearance.secret])
@@ -357,9 +371,9 @@ def _self_flow_templates():
 
 
 def _default_agreement_cases():
-    for name, entry in pv.TEMPLATE_REGISTRY.items():
+    for entry in pv.TEMPLATE_REGISTRY.values():
         if entry.template.edge_pred is not None:
-            yield entry.template, _SELFTEST_ATTRS[name], (1, 2, 3)
+            yield entry.template, entry.universe, (1, 2, 3)
     yield pv.domain_hierarchy(), pv.domain_fragment(depth=3, max_trust=2), (2,)
     for template in _self_flow_templates():
         yield template, [0, 1], (1, 2, 3)

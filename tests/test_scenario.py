@@ -94,6 +94,9 @@ def test_syntax_error_carries_position():
         '{"hosts": [""], "flows": [], "invariants": []}',
         '{"hosts": "A", "flows": [], "invariants": []}',
         '{"hosts": ["A"], "flows": [["A"]], "invariants": []}',
+        '{"hosts": ["A"], "flows": [["A", ["A"]]], "invariants": []}',
+        '{"hosts": ["A"], "flows": [], "invariants": ["blp_basic"]}',
+        '{"hosts": ["A"], "flows": [], "invariants": [{"template": "blp_basic", "attributes": ["A"]}]}',
         '{"hosts": ["A"], "flows": [], "invariants": [{"template": "blp_basic", "oops": 1}]}',
         '{"hosts": ["A"], "flows": [], "invariants": [{"attributes": {}}]}',
         '[1, 2]',
