@@ -49,7 +49,7 @@ DISPLAY_CAP = 50
 def render_report(report: VerificationReport, as_json: bool = False) -> str:
     """A verification report as text, or as the ``report_to_data`` document."""
     if as_json:
-        return _json(report_to_data(report), _JsonStrings())
+        return _json(report_to_data(report))
     lines = []
     for index, result in enumerate(report.results, start=1):
         verdict = "ok" if result.holds else "VIOLATED"
@@ -86,19 +86,10 @@ def report_to_data(report: VerificationReport) -> dict:
 
 # Every --json document is its data form encoded by _json, in the layout of
 # json.dumps(..., indent=2): with an indent the standard encoder runs in
-# Python, several times slower than building the text from each host's
-# string literal.
+# Python, several times slower than building the text from each string's
+# literal, written by the encoder that json.dumps itself calls for a string.
 
-class _JsonStrings(dict):
-    """String -> its JSON literal, each string encoded once, on first use, by
-    the encoder that ``json.dumps`` itself calls for a string."""
-
-    def __missing__(self, name: str) -> str:
-        literal = self[name] = encode_basestring_ascii(name)
-        return literal
-
-
-def _json(value, strings: _JsonStrings, indent: int = 0) -> str:
+def _json(value, indent: int = 0) -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it, its opening line at
     ``indent`` spaces.
 
@@ -106,7 +97,7 @@ def _json(value, strings: _JsonStrings, indent: int = 0) -> str:
     ``(sender, receiver)`` pairs of strings: it is written one f-string per pair.
     """
     if isinstance(value, str):
-        return strings[value]
+        return encode_basestring_ascii(value)
     if value is True or value is False:
         return "true" if value else "false"
     if not isinstance(value, (dict, list)):
@@ -115,14 +106,17 @@ def _json(value, strings: _JsonStrings, indent: int = 0) -> str:
         return "{}" if isinstance(value, dict) else "[]"
     pad = "\n" + " " * (indent + 2)
     if isinstance(value, dict):
-        items = [f"{strings[k]}: {_json(v, strings, indent + 2)}" for k, v in value.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, indent + 2)}" for k, v in value.items()]
         return "{" + pad + ("," + pad).join(items) + "\n" + " " * indent + "}"
     if isinstance(value[0], tuple):
         inner = "\n" + " " * (indent + 4)
         head, sep, tail = "[" + inner, "," + inner, pad + "]"
-        items = [f"{head}{strings[s]}{sep}{strings[r]}{tail}" for s, r in value]
+        items = [
+            f"{head}{encode_basestring_ascii(s)}{sep}{encode_basestring_ascii(r)}{tail}"
+            for s, r in value
+        ]
     else:
-        items = [_json(v, strings, indent + 2) for v in value]
+        items = [_json(v, indent + 2) for v in value]
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
@@ -134,7 +128,7 @@ def render_policy(policy: Policy, maximal: bool = True, as_json: bool = False) -
     text then ends with a note.
     """
     if as_json:
-        return _json({**policy_to_data(policy), "maximal": maximal}, _JsonStrings())
+        return _json({**policy_to_data(policy), "maximal": maximal})
     flows = policy.sorted_flows()
     lines = [f"hosts ({len(policy.hosts)}): {', '.join(policy.sorted_hosts())}",
              f"flows ({len(flows)}):"]
@@ -153,7 +147,7 @@ def policy_to_data(policy: Policy) -> dict:
 def render_diff(result: PolicyDiff, as_json: bool = False) -> str:
     """A diff as text, or as the ``diff_to_data`` document."""
     if as_json:
-        return _json(diff_to_data(result), _JsonStrings())
+        return _json(diff_to_data(result))
     violating = sorted(result.violating)
     missing = result.sorted_missing()
     lines = [f"violating flows ({len(violating)}):"]

@@ -97,29 +97,28 @@ def construct_max_policy(
 
     The result is allow-all minus one removal set.  Invariant by invariant,
     in the given order, the removal grows by the union of the offending
-    flow sets; each invariant sees allow-all minus everything removed
-    before it.  Monotonicity makes each removal final, so one pass
-    suffices.  For scenarios built purely from edge-local templates the
-    result is the unique maximum; with brute-force templates the union
-    removal is still sound but may prohibit more than strictly necessary.
-    An edge-local invariant forbids the same pairs whatever else the policy
-    holds, so its removal comes from its forbidden class blocks (one
-    predicate call per pair of attribute classes, not one per flow).
+    flow sets, exactly as verify reports them; each invariant sees
+    allow-all minus everything removed before it.  Monotonicity makes each
+    removal final, so one pass suffices.  For scenarios built purely from
+    edge-local templates the result is the unique maximum; with brute-force
+    templates the union removal is still sound but may prohibit more than
+    strictly necessary.  An edge-local invariant forbids the same pairs
+    whatever else the policy holds, so its removal comes from its forbidden
+    pairs (one predicate call per pair of attribute classes, not one per
+    flow).
 
-    Self-flows are never removed: in-host communication is outside any
-    shipped template's scope.  Callers must only pass invariants that hold
-    on the flow-less policy (scenario loading guarantees this).
+    A self-flow is removed only where its template rejects it, which no
+    shipped template does.  Callers must only pass invariants that hold on
+    the flow-less policy (scenario loading guarantees this).
     """
     hosts = _checked_hosts(hosts)
     removed = set()
     for inst in invariants:
         pred = inst.template.edge_pred
         if pred is not None:
-            for senders, receivers in pred._forbidden_blocks(hosts, inst.mapping()):
-                removed.update((s, r) for s in senders for r in receivers if s != r)
+            removed.update(pred._forbidden_pairs(hosts, inst.mapping()))
         else:
-            offending = offending_flows(inst, _all_pairs_but(hosts, removed), edge_bound)
-            removed.update((s, r) for fs in offending for s, r in fs if s != r)
+            removed.update(*offending_flows(inst, _all_pairs_but(hosts, removed), edge_bound))
     return _all_pairs_but(hosts, removed)
 
 
@@ -129,7 +128,9 @@ class PolicyDiff:
 
     ``violating`` flows are in the user policy but forbidden by some
     invariant; ``permitted_missing`` flows would be allowed but are absent.
-    Self-flows never appear in either set and are reported on the side.
+    ``reflexive`` holds the user's permitted self-flows, reported on the
+    side; ``permitted_missing`` never holds a self-flow, and ``violating``
+    holds one only where its template rejects it.
     """
 
     violating: frozenset
@@ -152,13 +153,15 @@ def diff(
 ) -> PolicyDiff:
     """Compare a hand-written policy against what the invariants admit.
 
-    The maximum holds every self-flow, so none is ever violating.
+    A self-flow counts as violating only where its template rejects it,
+    which no shipped template does.
     """
     maximum = construct_max_policy(user_policy.hosts, invariants, edge_bound)
+    violating = user_policy.flows - maximum.flows
     return PolicyDiff(
-        violating=user_policy.flows - maximum.flows,
+        violating=violating,
         permitted_missing=frozenset(
             (s, r) for s, r in maximum.flows - user_policy.flows if s != r
         ),
-        reflexive=frozenset((s, r) for s, r in user_policy.flows if s == r),
+        reflexive=frozenset((s, r) for s, r in user_policy.flows if s == r) - violating,
     )

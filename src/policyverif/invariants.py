@@ -13,8 +13,9 @@ check, else from a subset enumeration exponential in the number of flows.
 Tests hold the two to exact agreement.  verify takes that route; the blame
 rule lives in offenders.  construct takes it only for templates without
 per-edge structure: for edge-local ones it asks which pairs of the complete
-graph fail, once per pair of attribute classes (``_forbidden_blocks``), and
-tests hold that to agreement with the per-flow check.
+graph fail, once per pair of attribute classes (``_forbidden_pairs``), and
+tests hold that to exact agreement with the per-flow check.  Both apply the
+one self-flow rule of :class:`EdgePredicate`.
 
 The secure-default checker decides edge-local templates from pairs of
 attributes, a verdict that holds for policies of every size over those
@@ -69,6 +70,8 @@ class EdgePredicate(Generic[A]):
     the offending flows unique and computable in linear time.
     ``exempt_reflexive`` skips self-flows, for templates that restrict
     host-to-host traffic but must always permit in-host communication.
+    This class owns that self-flow rule: verify, construct and diff all
+    reject exactly the flows its two generators yield.
 
     ``predicate`` must depend on the two attribute values alone, and
     attributes must be hashable: hosts with equal attributes then get equal
@@ -84,18 +87,19 @@ class EdgePredicate(Generic[A]):
         get = mapping.entries.get
         dft = mapping.default
         check = self.predicate
-        if self.exempt_reflexive:
-            return ((s, r) for s, r in g.flows if s != r and not check(get(s, dft), get(r, dft)))
-        return ((s, r) for s, r in g.flows if not check(get(s, dft), get(r, dft)))
+        exempt = self.exempt_reflexive
+        return (
+            (s, r) for s, r in g.flows
+            if not check(get(s, dft), get(r, dft)) and (s != r or not exempt)
+        )
 
-    def _forbidden_blocks(self, hosts: Iterable[HostId], mapping: HostMapping) -> list:
-        """The ``(senders, receivers)`` host lists of every rejected class pair.
+    def _forbidden_pairs(self, hosts: Iterable[HostId], mapping: HostMapping) -> Iterator[Flow]:
+        """Exactly the flows ``_failing_flows`` yields on the complete graph
+        over ``hosts``, lazily.
 
         Hosts are grouped by attribute value, so a configured host whose
         attribute equals the default joins the unconfigured hosts' class, and
-        the check runs once per ordered pair of classes.  Every pair in a
-        block's product fails the check; ``exempt_reflexive`` is not applied,
-        so callers drop self-pairs themselves.
+        the check runs once per ordered pair of classes.
         """
         get = mapping.entries.get
         dft = mapping.default
@@ -103,12 +107,16 @@ class EdgePredicate(Generic[A]):
         for h in hosts:
             classes.setdefault(get(h, dft), []).append(h)
         check = self.predicate
-        return [
-            (senders, receivers)
-            for snd, senders in classes.items()
-            for rcv, receivers in classes.items()
-            if not check(snd, rcv)
-        ]
+        exempt = self.exempt_reflexive
+        for snd, senders in classes.items():
+            for rcv, receivers in classes.items():
+                if check(snd, rcv):
+                    continue
+                if senders is receivers and exempt:
+                    # only a class paired with itself holds self-pairs
+                    yield from ((s, r) for s in senders for r in receivers if s != r)
+                else:
+                    yield from itertools.product(senders, receivers)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,10 @@ literals in scenario files, and the finite attribute universe that
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterator
+from typing import Callable
 
 from .graph import HostMapping, Policy
 from .invariants import Strategy, Template, edge_template
@@ -340,20 +341,9 @@ def domain_fragment(depth: int = 3, labels: tuple = ("a", "b"), max_trust: int =
     adds nothing there and would only duplicate the same semantics under
     another name.
     """
-
-    def names(d: int) -> Iterator[tuple]:
-        if d == 0:
-            yield ()
-            return
-        for suffix in names(d - 1):
-            yield suffix
-            for label in labels:
-                yield (label,) + suffix
-
+    names = {w for d in range(1, depth + 1) for w in itertools.product(labels, repeat=d)}
     fragment = [DomAttr(UNASSIGNED, 0)]
-    for name in sorted(set(names(depth))):
-        if not name:
-            continue
+    for name in sorted(names):
         for trust in range(max_trust + 1):
             fragment.append(DomAttr(DomainName(name), trust))
     return fragment

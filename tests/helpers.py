@@ -122,15 +122,27 @@ def assert_def3_conjuncts(inst, policy, flow_set):
         assert not pv.eval_instance(inst, again)
 
 
+def self_flow_templates():
+    """Custom edge-local templates that reject a self-flow: with attributes
+    {0, 1} and default 0, a host of attribute 1 fails its own self-flow,
+    unless the template exempts self-flows."""
+    return [
+        pv.edge_template(f"self_{strategy.value}_{exempt}", strategy, 0, predicate, exempt)
+        for strategy, predicate in (
+            (pv.Strategy.ACS, lambda a, b: b == 0),
+            (pv.Strategy.IFS, lambda a, b: a == 0),
+        )
+        for exempt in (False, True)
+    ]
+
+
 def construct_by_flow_scan(hosts, invariants, edge_bound=pv.DEFAULT_EDGE_BOUND):
     """Reference for construct_max_policy: from allow-all, remove each
     invariant's offending flows on the current remainder, one invariant at a
-    time, keeping self-flows."""
+    time."""
     current = pv.allow_all(hosts)
     for inst in invariants:
-        removal = {
-            (s, r) for fs in pv.offending_flows(inst, current, edge_bound) for s, r in fs if s != r
-        }
+        removal = {f for fs in pv.offending_flows(inst, current, edge_bound) for f in fs}
         if removal:
             current = current.without_flows(removal)
     return current

@@ -391,7 +391,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_JSON_VALUES)
 def test_json_encoder_matches_json_dumps(value):
-    assert cli._json(value, cli._JsonStrings()) == json.dumps(value, indent=2)
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 # Golden documents: the stdout of each command, committed byte for byte.  The

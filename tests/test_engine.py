@@ -16,6 +16,7 @@ from helpers import (
     cabin_invariants,
     construct_by_flow_scan,
     random_policy,
+    self_flow_templates,
 )
 
 
@@ -195,8 +196,10 @@ def test_construct_equals_the_flow_scan_reference():
     # Attribute draws include each template's default, so configured hosts
     # can share the unconfigured hosts' class; the reachability invariant
     # goes before, between and after the edge-local ones, where it must see
-    # exactly the remainder their removals left.
+    # exactly the remainder their removals left.  Every other case adds a
+    # custom template that rejects self-flows unless it exempts them.
     rng = random.Random(404)
+    custom = {template.name: template for template in self_flow_templates()}
     templates = set()
     for case in range(24):
         hosts = [f"h{i}" for i in range(4 if case % 6 == 0 else rng.randint(2, 3))]
@@ -207,6 +210,11 @@ def test_construct_equals_the_flow_scan_reference():
             config = {h: rng.choice(spec["attrs"]) for h in hosts if rng.random() < 0.7}
             edge_local.append(pv.InvariantInstance(spec["template"](), config))
             templates.add(name)
+        if case % 2:
+            template = custom[rng.choice(sorted(custom))]
+            config = {h: rng.choice([0, 1]) for h in hosts if rng.random() < 0.7}
+            edge_local.append(pv.InvariantInstance(template, config))
+            templates.add(template.name)
         roles = {h: rng.choice(list(pv.ReachRole)) for h in hosts}
         roles[rng.choice(hosts)] = pv.ReachRole.snk
         reach = pv.InvariantInstance(pv.no_transitive_access(), roles)
@@ -216,7 +224,7 @@ def test_construct_equals_the_flow_scan_reference():
         for instances in orders:
             expected = construct_by_flow_scan(hosts, instances)
             assert pv.construct_max_policy(hosts, instances) == expected, (hosts, instances)
-    assert templates == set(CORPUS)
+    assert templates == set(CORPUS) | set(custom)
 
 
 def test_construct_calls_each_edge_predicate_once_per_class_pair():
@@ -257,6 +265,21 @@ def test_diff_of_max_policy_is_empty():
     assert result.violating == frozenset()
     assert result.permitted_missing == frozenset()
     assert result.reflexive == {(h, h) for h in CABIN_HOSTS}
+
+
+def test_construct_and_diff_remove_the_self_flows_verify_flags():
+    # "u" fails its own self-flow under every custom template; only the
+    # exempt ones keep it in the maximum and out of the violating flows
+    user = pv.make_policy({"u", "v"}, {("u", "u"), ("v", "v"), ("u", "v")})
+    for template in self_flow_templates():
+        inst = pv.InvariantInstance(template, {"u": 1})
+        maximum = pv.construct_max_policy(user.hosts, [inst])
+        assert pv.eval_instance(inst, maximum)
+        assert (("u", "u") in maximum.flows) == template.edge_pred.exempt_reflexive
+        result = pv.diff(user, [inst])
+        flagged = frozenset().union(*pv.offending_flows(inst, user))
+        assert result.violating == flagged
+        assert result.reflexive == {("u", "u"), ("v", "v")} - flagged
 
 
 def test_diff_reports_missing_flow():

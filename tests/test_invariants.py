@@ -16,6 +16,7 @@ from helpers import (
     exhaustive_assignments,
     random_policy,
     satisfied_variant,
+    self_flow_templates,
 )
 
 
@@ -359,23 +360,12 @@ def test_unique_default_requires_candidate_in_universe():
 # enumeration it replaces.  The custom templates reach the self-flow rule:
 # with attributes {0, 1} and candidate 0, no cross-host pair is masked, but
 # the self-flow of an attribute-1 host is, unless self-flows are exempt.
-def _self_flow_templates():
-    return [
-        pv.edge_template(f"self_{strategy.value}_{exempt}", strategy, 0, predicate, exempt)
-        for strategy, predicate in (
-            (pv.Strategy.ACS, lambda a, b: b == 0),
-            (pv.Strategy.IFS, lambda a, b: a == 0),
-        )
-        for exempt in (False, True)
-    ]
-
-
 def _default_agreement_cases():
     for entry in pv.TEMPLATE_REGISTRY.values():
         if entry.template.edge_pred is not None:
             yield entry.template, entry.universe, (1, 2, 3)
     yield pv.domain_hierarchy(), pv.domain_fragment(depth=3, max_trust=2), (2,)
-    for template in _self_flow_templates():
+    for template in self_flow_templates():
         yield template, [0, 1], (1, 2, 3)
 
 
@@ -417,7 +407,7 @@ def test_pairwise_default_decision_agrees_with_bounded_enumeration():
 
 
 def test_self_flow_rule_decides_the_custom_templates():
-    for template in _self_flow_templates():
+    for template in self_flow_templates():
         found = pv.find_secure_default_counterexample(template, ["u", "v"], [0, 1])
         if template.edge_pred.exempt_reflexive:
             assert found is None
@@ -466,17 +456,15 @@ def test_fast_and_bruteforce_agree(case):
 
 @settings(max_examples=80, deadline=None)
 @given(corpus_cases())
-def test_forbidden_blocks_agree_with_failing_flows_of_allow_all(case):
+def test_forbidden_pairs_equal_failing_flows_of_allow_all(case):
     # the class route of construct and the per-flow route of verify answer
-    # the same question on the complete graph, apart from self-flows
+    # the same question on the complete graph, self-flows included
     inst, g = case
     edge = inst.template.edge_pred
     mapping = inst.mapping()
-    blocks = edge._forbidden_blocks(g.hosts, mapping)
-    forbidden = [(s, r) for senders, receivers in blocks for s in senders for r in receivers]
+    forbidden = list(edge._forbidden_pairs(g.hosts, mapping))
     assert len(forbidden) == len(set(forbidden))
-    failing = set(edge._failing_flows(pv.allow_all(g.hosts), mapping))
-    assert {(s, r) for s, r in forbidden if s != r} == {(s, r) for s, r in failing if s != r}
+    assert set(forbidden) == set(edge._failing_flows(pv.allow_all(g.hosts), mapping))
 
 
 @settings(max_examples=80, deadline=None)
