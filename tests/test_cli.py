@@ -29,6 +29,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 CABIN = str(SCENARIOS / "cabin.json")
 CABIN_BAD = str(SCENARIOS / "cabin_bad.json")
+DATA = ROOT / "tests" / "data"
+# no_transitive_access on a diamond: two size-2 repair sets, an unconfigured
+# host that takes the default (src), and a self-flow
+REACH = str(DATA / "reach.json")
 
 
 def test_verify_cabin_exits_zero(capsys):
@@ -401,14 +405,25 @@ _GOLDEN = [
     (["verify", "--json", CABIN_BAD], 1, "verify_cabin_bad.json"),
     (["construct", "--json", CABIN], 0, "construct_cabin.json"),
     (["diff", "--json", CABIN_BAD], 0, "diff_cabin_bad.json"),
+    (["verify", "--json", REACH], 1, "verify_reach.json"),
+    (["construct", "--json", REACH], 0, "construct_reach.json"),
+    (["diff", "--json", REACH], 0, "diff_reach.json"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, golden", _GOLDEN, ids=[g for _, _, g in _GOLDEN])
 def test_json_documents_match_golden_files(argv, code, golden, capsys):
     assert cli_main(argv) == code
-    expected = (ROOT / "tests" / "data" / golden).read_text(encoding="utf-8")
+    expected = (DATA / golden).read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+def test_construct_dot_matches_golden_file(tmp_path, capsys):
+    out_path = tmp_path / "reach.dot"
+    assert cli_main(["construct", "--dot", str(out_path), REACH]) == 0
+    capsys.readouterr()
+    expected = (DATA / "construct_reach.dot").read_text(encoding="utf-8")
+    assert out_path.read_text(encoding="utf-8") == expected
 
 
 # Documents for the exit-code fuzz test: raw bytes, deep nesting, JSON
