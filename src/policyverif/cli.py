@@ -229,7 +229,7 @@ def _checks(entry: TemplateIO, trials: int, rng: random.Random):
     yield f"monotonicity ({trials} policies)", all(
         _repair_is_monotone(*_random_instance(rng, entry), rng) for _ in range(trials)
     )
-    if template.edge_pred is not None:
+    if template.edge_pred is not None or template.witnesses is not None:
         yield f"fast path agrees with enumeration ({trials} policies)", all(
             _fast_path_agrees(*_random_instance(rng, entry)) for _ in range(trials)
         )
@@ -279,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_at_least(0),
         default=DEFAULT_EDGE_BOUND,
         metavar="N",
-        help="cap for brute-force offending-flow enumeration (default %(default)s)",
+        help="cap on the flows of a policy whose invariant has no per-edge "
+        "structure (default %(default)s)",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -100,12 +100,12 @@ def construct_max_policy(
     flow sets, exactly as verify reports them; each invariant sees
     allow-all minus everything removed before it.  Monotonicity makes each
     removal final, so one pass suffices.  For scenarios built purely from
-    edge-local templates the result is the unique maximum; with brute-force
-    templates the union removal is still sound but may prohibit more than
-    strictly necessary.  An edge-local invariant forbids the same pairs
-    whatever else the policy holds, so its removal comes from its forbidden
-    pairs (one predicate call per pair of attribute classes, not one per
-    flow).
+    edge-local templates the result is the unique maximum; with templates
+    without per-edge structure the union removal is still sound but may
+    prohibit more than strictly necessary.  An edge-local invariant forbids
+    the same pairs whatever else the policy holds, so its removal comes from
+    its forbidden pairs (one predicate call per pair of attribute classes,
+    not one per flow).
 
     A self-flow is removed only where its template rejects it, which no
     shipped template does.  Callers must only pass invariants that hold on

@@ -14,7 +14,8 @@ class DanglingEndpoint(PolicyVerifError, ValueError):
 
 
 class TooLarge(PolicyVerifError, ValueError):
-    """Subset enumeration over the flow set would exceed the configured bound."""
+    """A violated invariant without per-edge structure meets a policy with
+    more flows than the configured bound."""
 
     def __init__(self, n_flows, bound):
         self.n_flows = n_flows

@@ -9,9 +9,11 @@ module works for arbitrary templates; the concrete ones live in
 
 Offending flows (minimal repair options for a violated invariant) come from
 a linear fast path for templates whose predicate decomposes into a per-edge
-check, else from a subset enumeration exponential in the number of flows.
-Tests hold the two to exact agreement.  verify takes that route; the blame
-rule lives in offenders.  construct takes it only for templates without
+check, from the minimal transversals of the template's witnesses (Berge's
+algorithm) for templates that list them, else from a subset enumeration
+exponential in the number of flows.  Tests hold the first two to exact
+agreement with the enumeration.  verify takes that route; the blame rule
+lives in offenders.  construct takes it only for templates without
 per-edge structure: for edge-local ones it asks which pairs of the complete
 graph fail, once per pair of attribute classes (``_forbidden_pairs``), and
 tests hold that to exact agreement with the per-flow check.  Both apply the
@@ -129,6 +131,12 @@ class Template(Generic[A]):
     monotonicity is the caller's contract, testable by check_monotonicity.
     An ``edge_pred`` must decide each flow from its two endpoint attributes
     alone (see :class:`EdgePredicate`).
+
+    ``witnesses``, for a template without an ``edge_pred``, gives flow sets
+    W, each a non-empty subset of ``g.flows``, such that a sub-policy of
+    ``g`` violates the invariant exactly when it contains some W.  The
+    minimal repair sets are then the minimal flow sets that meet every W.
+    Extra witnesses that contain another one change nothing.
     """
 
     name: str
@@ -136,6 +144,7 @@ class Template(Generic[A]):
     default_attr: A
     evaluate: Callable[[Policy, HostMapping], bool]
     edge_pred: Optional[EdgePredicate] = None
+    witnesses: Optional[Callable[[Policy, HostMapping], Iterable[FlowSet]]] = None
 
 
 def edge_template(
@@ -236,13 +245,42 @@ def _offending_sets_bruteforce(
     return found
 
 
+def _minimal_transversals(edge_sets: Iterable[FlowSet]) -> list:
+    """Every minimal flow set that meets each of ``edge_sets`` (Berge's
+    algorithm: add the sets one at a time, growing each transversal that
+    misses the new set by one of its flows, and keep the minimal ones)."""
+    current = [frozenset()]
+    for edges in sorted(set(edge_sets), key=len):
+        grown = set()
+        for t in current:
+            if t & edges:
+                grown.add(t)
+            else:
+                grown.update(t | {e} for e in edges)
+        current = [t for t in grown if not any(u < t for u in grown)]
+    return current
+
+
 def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bound: int) -> list:
-    """Offending flows via the per-edge fast path when available."""
+    """Offending flows via the per-edge fast path or the witnesses when
+    available, else via the enumeration.
+
+    The witness route answers exactly as the enumeration does: no sets when
+    the invariant holds, :class:`TooLarge` past ``edge_bound`` flows, and the
+    sets by size, then by sorted flows.
+    """
     pred = template.edge_pred
-    if pred is None:
+    if pred is not None:
+        bad = frozenset(pred._failing_flows(g, mapping))
+        return [bad] if bad else []
+    if template.witnesses is None:
         return _offending_sets_bruteforce(template, g, mapping, edge_bound)
-    bad = frozenset(pred._failing_flows(g, mapping))
-    return [bad] if bad else []
+    if template.evaluate(g, mapping):
+        return []
+    if len(g.flows) > edge_bound:
+        raise TooLarge(len(g.flows), edge_bound)
+    found = _minimal_transversals(template.witnesses(g, mapping))
+    return sorted(found, key=lambda fs: (len(fs), sorted(fs)))
 
 
 def offending_flows_bruteforce(
@@ -264,7 +302,9 @@ def offending_flows(
     For edge-local templates the result is the single set of flows whose
     endpoint attributes fail the per-edge check (self-flows excluded when
     the template exempts them), or no set at all when the invariant holds.
-    Other templates fall back to the brute-force enumeration.
+    Templates with ``witnesses`` get the minimal flow sets meeting every
+    witness, and raise :class:`TooLarge` as the enumeration does.  Other
+    templates fall back to the brute-force enumeration.
 
     The sets come by size, then by sorted flows: the enumeration walks the
     subsets of the sorted flows in that order.

@@ -13,7 +13,7 @@ Shipped templates:
   central gateway; a fixed role table decides each sender/receiver pair.
 * ``no_transitive_access`` -- a reachability invariant (designated source
   hosts must not reach designated sink hosts over any path).  It has no
-  per-edge structure, so it exercises the brute-force analysis route.
+  per-edge structure; its repair sets come from its source-to-sink paths.
 
 Each template is described once, by its entry in ``TEMPLATE_REGISTRY`` at
 the end of this module: the template, the parse/format codec of its attribute
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable
+from typing import Callable, Iterator
 
 from .graph import HostMapping, Policy
 from .invariants import Strategy, Template, edge_template
@@ -311,19 +311,58 @@ def _no_reach_evaluate(g: Policy, mapping: HostMapping) -> bool:
     return True
 
 
+def _no_reach_witnesses(g: Policy, mapping: HostMapping) -> Iterator[frozenset]:
+    """The flow sets of the simple paths from a source to a sink that pass
+    through no other source or sink, lazily.
+
+    Every source-to-sink path holds one: its stretch from the last source
+    before its first sink.  A self-flow returns to a host already on the
+    path, so it is skipped.  The walk keeps its own stack, so a long path
+    cannot exhaust the interpreter's.
+    """
+    get = mapping.entries.get
+    dft = mapping.default
+    role = {h: get(h, dft) for h in g.hosts}
+    succ = {}
+    for s, r in g.flows:
+        if role[r] is not ReachRole.src:
+            succ.setdefault(s, []).append(r)
+    for source in sorted(h for h in g.hosts if role[h] is ReachRole.src):
+        path = []  # the flows from the source to the host on top of the stack
+        on_path = {source}
+        stack = [iter(succ.get(source, ()))]
+        while stack:
+            host = path[-1][1] if path else source
+            for nxt in stack[-1]:
+                if nxt in on_path:
+                    continue
+                if role[nxt] is ReachRole.snk:
+                    yield frozenset(path + [(host, nxt)])
+                    continue
+                path.append((host, nxt))
+                on_path.add(nxt)
+                stack.append(iter(succ.get(nxt, ())))
+                break
+            else:
+                stack.pop()
+                if path:
+                    on_path.discard(path.pop()[1])
+
+
 _NO_TRANSITIVE_ACCESS = Template(
     "no_transitive_access",
     Strategy.ACS,
     ReachRole.src,
     _no_reach_evaluate,
+    witnesses=_no_reach_witnesses,
 )
 
 
 def no_transitive_access() -> Template:
     """No directed path may lead from a source-marked host to a sink-marked one.
 
-    Mostly useful for exercising the brute-force analysis: reachability is a
-    path property, so violations can have several alternative repair sets.
+    Reachability is a path property, so a violation can have several
+    alternative repair sets: the minimal flow sets that cut every path.
     """
     return _NO_TRANSITIVE_ACCESS
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -276,22 +277,53 @@ def test_selftest_runs_clean(capsys, monkeypatch):
     assert "selftest: ok" in out
 
 
+def _selftest_sections(out):
+    """Selftest output as {unindented line: its indented lines}."""
+    sections = {}
+    for line in out.splitlines():
+        if line.startswith("  "):
+            sections[name].append(line)
+        else:
+            name = line
+            sections[name] = []
+    return sections
+
+
 def test_selftest_reports_a_failing_registered_template(capsys, monkeypatch):
     # a registry entry alone is enough for selftest to check a template
     monkeypatch.setitem(
         pv.TEMPLATE_REGISTRY, "always_false", TemplateIO(always_false_template(), str, str, (None,))
     )
     assert cli_main(["selftest", "--trials", "2"]) == 1
-    sections = {}
-    for line in capsys.readouterr().out.splitlines():
-        if line.startswith("  "):
-            sections[name].append(line)
-        else:
-            name = line
-            sections[name] = []
+    sections = _selftest_sections(capsys.readouterr().out)
     assert "  deny-all validity: FAILED" in sections.pop("always_false")
-    assert line == "selftest: FAILED" and sections.pop(line) == []
+    assert list(sections)[-1] == "selftest: FAILED" and sections.pop("selftest: FAILED") == []
     assert set(sections) == set(pv.TEMPLATE_REGISTRY) - {"always_false"}
+    assert all(check.endswith(": ok") for checks in sections.values() for check in checks)
+
+
+def test_selftest_checks_the_witness_route(capsys, monkeypatch):
+    # a registered template whose witnesses drop every path longer than one
+    # flow: its repair sets stop agreeing with the enumeration's.  Few random
+    # policies need a longer path cut, so this seed takes 40 trials to draw one
+    monkeypatch.setenv("POLICY_VERIF_SEED", "0")
+    reach = pv.TEMPLATE_REGISTRY["no_transitive_access"]
+    paths = reach.template.witnesses
+    short = dataclasses.replace(
+        reach.template,
+        name="short_paths_only",
+        witnesses=lambda g, mapping: [w for w in paths(g, mapping) if len(w) == 1],
+    )
+    monkeypatch.setitem(
+        pv.TEMPLATE_REGISTRY, short.name, dataclasses.replace(reach, template=short)
+    )
+    assert cli_main(["selftest", "--trials", "40"]) == 1
+    sections = _selftest_sections(capsys.readouterr().out)
+    agreement = "  fast path agrees with enumeration (40 policies): "
+    assert agreement + "FAILED" in sections.pop(short.name)
+    assert agreement + "ok" in sections["no_transitive_access"]
+    assert list(sections)[-1] == "selftest: FAILED" and sections.pop("selftest: FAILED") == []
+    assert set(sections) == set(pv.TEMPLATE_REGISTRY) - {short.name}
     assert all(check.endswith(": ok") for checks in sections.values() for check in checks)
 
 

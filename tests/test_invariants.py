@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +200,85 @@ def test_fast_path_falls_back_for_path_invariants():
             pv.no_transitive_access(), {"v0": pv.ReachRole.src, "v17": pv.ReachRole.snk}
         )
         pv.offending_flows(big_inst, big)
+
+
+# ---------------------------------------------------------------------------
+# offending flows, witness route
+
+def _reaches(flows, starts, targets):
+    """Does a path of one or more flows lead from ``starts`` into ``targets``?"""
+    frontier = [r for s, r in flows if s in starts]
+    seen = set()
+    while frontier:
+        host = frontier.pop()
+        if host in targets:
+            return True
+        if host not in seen:
+            seen.add(host)
+            frontier.extend(r for s, r in flows if s == host)
+    return False
+
+
+def reach_cases():
+    """Every role assignment of 1-4 hosts, each host configured to a role or
+    left to the default (src), with three seeded flow sets of up to 10 flows."""
+    rng = random.Random(2016)
+    for n in range(1, 5):
+        hosts = [f"h{i}" for i in range(n)]
+        pairs = [(a, b) for a in hosts for b in hosts]
+        for combo in itertools.product([*pv.ReachRole, None], repeat=n):
+            config = {h: role for h, role in zip(hosts, combo) if role is not None}
+            inst = pv.InvariantInstance(pv.no_transitive_access(), config)
+            for _ in range(3):
+                flows = rng.sample(pairs, rng.randint(0, min(10, len(pairs))))
+                yield inst, pv.make_policy(hosts, flows)
+
+
+def test_witness_route_equals_the_enumeration():
+    seen = dict.fromkeys(
+        ["violated", "configured src", "self-flow", "cycle", "snk -> src", "second sink"], 0
+    )
+    for inst, g in reach_cases():
+        assert pv.offending_flows(inst, g) == pv.offending_flows_bruteforce(inst, g)
+        for bound in range(4):
+            try:
+                expected = pv.offending_flows_bruteforce(inst, g, bound)
+            except pv.TooLarge as exc:
+                with pytest.raises(pv.TooLarge, match=re.escape(str(exc))):
+                    pv.offending_flows(inst, g, bound)
+            else:
+                assert pv.offending_flows(inst, g, bound) == expected
+        role = inst.mapping().lookup
+        sources = {h for h in g.hosts if role(h) is pv.ReachRole.src}
+        sinks = {h for h in g.hosts if role(h) is pv.ReachRole.snk}
+        edges = {(s, r) for s, r in g.flows if s != r}
+        seen["violated"] += not pv.eval_instance(inst, g)
+        seen["configured src"] += pv.ReachRole.src in inst.config.values()
+        seen["self-flow"] += len(edges) < len(g.flows)
+        seen["cycle"] += any(_reaches(edges, {h}, {h}) for h in g.hosts)
+        seen["snk -> src"] += any(role(s) is pv.ReachRole.snk and r in sources for s, r in edges)
+        seen["second sink"] += any(
+            _reaches(edges, sources, {k}) and _reaches(edges, {k}, sinks - {k}) for k in sinks
+        )
+    assert all(seen.values()), seen
+
+
+def test_witness_route_walks_a_long_chain_without_recursion():
+    hosts = [f"v{i:03d}" for i in range(200)]
+    config = dict.fromkeys(hosts[1:-1], pv.ReachRole.none)
+    config[hosts[0]] = pv.ReachRole.src
+    config[hosts[-1]] = pv.ReachRole.snk
+    inst = pv.InvariantInstance(pv.no_transitive_access(), config)
+    chain = list(zip(hosts, hosts[1:]))
+    g = pv.make_policy(hosts, chain)
+    # far below one frame per host: a recursive walk would fail here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = pv.offending_flows(inst, g, edge_bound=250)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == [frozenset({flow}) for flow in chain]
 
 
 # ---------------------------------------------------------------------------
