@@ -21,8 +21,8 @@ class TooLarge(PolicyVerifError, ValueError):
         self.n_flows = n_flows
         self.bound = bound
         super().__init__(
-            f"brute-force enumeration needs 2^{n_flows} subsets but the bound is "
-            f"{bound} flows; raise the edge bound or use an edge-local template"
+            f"the policy has {n_flows} flows but the bound is {bound} flows; "
+            "raise the edge bound or use an edge-local template"
         )
 
 

@@ -246,18 +246,16 @@ def _offending_sets_bruteforce(
 
 
 def _minimal_transversals(edge_sets: Iterable[FlowSet]) -> list:
-    """Every minimal flow set that meets each of ``edge_sets`` (Berge's
-    algorithm: add the sets one at a time, growing each transversal that
-    misses the new set by one of its flows, and keep the minimal ones)."""
+    """Every minimal flow set that meets each of ``edge_sets``, by Berge's
+    algorithm: add the sets one at a time, keep the transversals that meet
+    the new set, grow each other one by each flow of it, and drop a grown
+    set that holds a kept one.  No other test is needed: the transversals
+    are pairwise incomparable, so no two grown sets are strictly nested."""
     current = [frozenset()]
     for edges in sorted(set(edge_sets), key=len):
-        grown = set()
-        for t in current:
-            if t & edges:
-                grown.add(t)
-            else:
-                grown.update(t | {e} for e in edges)
-        current = [t for t in grown if not any(u < t for u in grown)]
+        kept = [t for t in current if t & edges]
+        grown = {t | {e} for t in current if not t & edges for e in edges}
+        current = kept + [t for t in grown if not any(k <= t for k in kept)]
     return current
 
 

@@ -313,12 +313,14 @@ def _no_reach_evaluate(g: Policy, mapping: HostMapping) -> bool:
 
 def _no_reach_witnesses(g: Policy, mapping: HostMapping) -> Iterator[frozenset]:
     """The flow sets of the simple paths from a source to a sink that pass
-    through no other source or sink, lazily.
+    through no other source or sink, lazily, each once.
 
     Every source-to-sink path holds one: its stretch from the last source
-    before its first sink.  A self-flow returns to a host already on the
-    path, so it is skipped.  The walk keeps its own stack, so a long path
-    cannot exhaust the interpreter's.
+    before its first sink.  Each stack entry is a host, the flows of the
+    path that reached it and the hosts on that path; the walk never steps
+    into a source or onto a host already on the path (so a self-flow is
+    skipped) and stops at the first sink.  The stack is its own, so a long
+    path cannot exhaust the interpreter's.
     """
     get = mapping.entries.get
     dft = mapping.default
@@ -327,26 +329,17 @@ def _no_reach_witnesses(g: Policy, mapping: HostMapping) -> Iterator[frozenset]:
     for s, r in g.flows:
         if role[r] is not ReachRole.src:
             succ.setdefault(s, []).append(r)
-    for source in sorted(h for h in g.hosts if role[h] is ReachRole.src):
-        path = []  # the flows from the source to the host on top of the stack
-        on_path = {source}
-        stack = [iter(succ.get(source, ()))]
-        while stack:
-            host = path[-1][1] if path else source
-            for nxt in stack[-1]:
-                if nxt in on_path:
-                    continue
-                if role[nxt] is ReachRole.snk:
-                    yield frozenset(path + [(host, nxt)])
-                    continue
-                path.append((host, nxt))
-                on_path.add(nxt)
-                stack.append(iter(succ.get(nxt, ())))
-                break
+    stack = [(h, (), frozenset({h})) for h in g.hosts if role[h] is ReachRole.src]
+    while stack:
+        host, path, on_path = stack.pop()
+        for nxt in succ.get(host, ()):
+            if nxt in on_path:
+                continue
+            flows = (*path, (host, nxt))
+            if role[nxt] is ReachRole.snk:
+                yield frozenset(flows)
             else:
-                stack.pop()
-                if path:
-                    on_path.discard(path.pop()[1])
+                stack.append((nxt, flows, on_path | {nxt}))
 
 
 _NO_TRANSITIVE_ACCESS = Template(

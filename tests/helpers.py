@@ -148,6 +148,24 @@ def construct_by_flow_scan(hosts, invariants, edge_bound=pv.DEFAULT_EDGE_BOUND):
     return current
 
 
+def reach_witnesses_reference(g, role):
+    """The flow sets of the simple paths of ``g`` that start at a source, end
+    at the first sink and pass through no other source or sink, from the
+    permutations of the hosts."""
+    found = set()
+    for k in range(2, len(g.hosts) + 1):
+        for path in itertools.permutations(sorted(g.hosts), k):
+            flows = list(zip(path, path[1:]))
+            if (
+                role(path[0]) is pv.ReachRole.src
+                and role(path[-1]) is pv.ReachRole.snk
+                and all(role(h) is pv.ReachRole.none for h in path[1:-1])
+                and all(flow in g.flows for flow in flows)
+            ):
+                found.add(frozenset(flows))
+    return found
+
+
 def satisfied_variant(inst, policy):
     """A sub-policy of ``policy`` on which the instance holds."""
     removal = {f for fs in pv.offending_flows(inst, policy) for f in fs}

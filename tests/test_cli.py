@@ -34,6 +34,8 @@ DATA = ROOT / "tests" / "data"
 # no_transitive_access on a diamond: two size-2 repair sets, an unconfigured
 # host that takes the default (src), and a self-flow
 REACH = str(DATA / "reach.json")
+# no_transitive_access on allow-all over 7 hosts: 49 flows, 32 repair sets
+REACH_COMPLETE = str(DATA / "reach_complete.json")
 
 
 def test_verify_cabin_exits_zero(capsys):
@@ -251,6 +253,17 @@ def test_verify_edge_bound_flag(tmp_path, capsys):
     assert cli_main(["verify", "--edge-bound", "0", str(path)]) == 2
     assert "the bound is 0 flows" in capsys.readouterr().err
     assert cli_main(["verify", "--edge-bound", "0", CABIN]) == 0
+
+
+def test_verify_complete_reachability_graph(capsys):
+    assert cli_main(["verify", "--edge-bound", "49", "--json", REACH_COMPLETE]) == 1
+    (result,) = json.loads(capsys.readouterr().out)["invariants"]
+    assert len(result["offending"]) == 32
+    assert cli_main(["verify", REACH_COMPLETE]) == 2
+    assert capsys.readouterr().err == (
+        "error: the policy has 49 flows but the bound is 16 flows; "
+        "raise the edge bound or use an edge-local template\n"
+    )
 
 
 def test_selftest_trials_below_one_is_a_usage_error(capsys):

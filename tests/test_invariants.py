@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
-from policyverif.invariants import _bounded_secure_default_counterexample
+from policyverif.invariants import _bounded_secure_default_counterexample, _minimal_transversals
 
 from helpers import (
     CORPUS,
@@ -18,6 +18,7 @@ from helpers import (
     assert_def3_conjuncts,
     exhaustive_assignments,
     random_policy,
+    reach_witnesses_reference,
     satisfied_variant,
     self_flow_templates,
 )
@@ -239,7 +240,8 @@ def test_witness_route_equals_the_enumeration():
         ["violated", "configured src", "self-flow", "cycle", "snk -> src", "second sink"], 0
     )
     for inst, g in reach_cases():
-        assert pv.offending_flows(inst, g) == pv.offending_flows_bruteforce(inst, g)
+        found = pv.offending_flows(inst, g)
+        assert found == pv.offending_flows_bruteforce(inst, g)
         for bound in range(4):
             try:
                 expected = pv.offending_flows_bruteforce(inst, g, bound)
@@ -249,6 +251,12 @@ def test_witness_route_equals_the_enumeration():
             else:
                 assert pv.offending_flows(inst, g, bound) == expected
         role = inst.mapping().lookup
+        # checked directly, since Berge absorbs extra supersets
+        witnesses = list(inst.template.witnesses(g, inst.mapping()))
+        assert len(witnesses) == len(set(witnesses))
+        assert set(witnesses) == reach_witnesses_reference(g, role)
+        # no witness holds another, so every witness flow is in a repair set
+        assert set().union(*witnesses) == set().union(*found)
         sources = {h for h in g.hosts if role(h) is pv.ReachRole.src}
         sinks = {h for h in g.hosts if role(h) is pv.ReachRole.snk}
         edges = {(s, r) for s, r in g.flows if s != r}
@@ -260,6 +268,55 @@ def test_witness_route_equals_the_enumeration():
         seen["second sink"] += any(
             _reaches(edges, sources, {k}) and _reaches(edges, {k}, sinks - {k}) for k in sinks
         )
+    assert all(seen.values()), seen
+
+
+def test_witness_route_on_complete_graphs_gives_every_cut():
+    # allow-all over src, snk and k none hosts: the minimal repair sets are
+    # the cuts S x (hosts - S), for S = {src} plus any set of none hosts
+    for k in range(6):
+        others = [f"n{i}" for i in range(k)]
+        hosts = ["src", "snk", *others]
+        config = dict.fromkeys(others, pv.ReachRole.none)
+        config.update(src=pv.ReachRole.src, snk=pv.ReachRole.snk)
+        inst = pv.InvariantInstance(pv.no_transitive_access(), config)
+        g = pv.allow_all(hosts)
+        cuts = []
+        for size in range(k + 1):
+            for extra in itertools.combinations(others, size):
+                side = {"src", *extra}
+                cuts.append(frozenset((u, v) for u in side for v in hosts if v not in side))
+        expected = sorted(cuts, key=lambda fs: (len(fs), sorted(fs)))
+        assert pv.offending_flows(inst, g, edge_bound=len(g.flows)) == expected
+
+
+def test_minimal_transversals_equal_the_minimal_hitting_sets():
+    rng = random.Random(2016)
+    seen = dict.fromkeys(["empty", "nested", "duplicate", "singleton", "disjoint"], 0)
+    for _ in range(400):
+        universe = range(rng.randint(1, 8))
+        family = [
+            frozenset(rng.sample(universe, rng.randint(1, len(universe))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        union = sorted(set().union(*family))
+        hitting = [
+            frozenset(c)
+            for size in range(len(union) + 1)
+            for c in itertools.combinations(union, size)
+            if all(s.intersection(c) for s in family)
+        ]
+        expected = {h for h in hitting if not any(o < h for o in hitting)}
+        for order in (family, rng.sample(family, len(family))):
+            found = _minimal_transversals(order)
+            assert len(found) == len(set(found))
+            assert set(found) == expected
+        pairs = list(itertools.combinations(family, 2))
+        seen["empty"] += not family
+        seen["nested"] += any(a < b or b < a for a, b in pairs)
+        seen["duplicate"] += any(a == b for a, b in pairs)
+        seen["singleton"] += any(len(s) == 1 for s in family)
+        seen["disjoint"] += any(not a & b for a, b in pairs)
     assert all(seen.values()), seen
 
 
