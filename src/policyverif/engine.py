@@ -40,12 +40,12 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "invariants", tuple(self.invariants))
+        hosts = self.policy.hosts
         for index, inst in enumerate(self.invariants):
-            where = f"invariants[{index}] ({inst.template.name})"
             for host in inst.config:
-                if host not in self.policy.hosts:
-                    raise UnknownHost(host, where)
-            if not check_deny_all_validity(inst, self.policy.hosts):
+                if host not in hosts:
+                    raise UnknownHost(host, f"invariants[{index}] ({inst.template.name})")
+            if not check_deny_all_validity(inst, hosts):
                 raise InvariantRejected(inst.template.name, "deny-all validity failed")
 
 

@@ -44,6 +44,19 @@ class Policy:
         # sorted once per policy: a command that renders text and DOT reuses it
         return tuple(sorted(self.flows))
 
+    @cached_property
+    def _incident_flows(self) -> dict:
+        """Each host with a flow, mapped to the flows it sends or receives;
+        a self-flow is listed once.  Built once per policy: verify reads it
+        for each edge-local invariant that configures few of its hosts."""
+        index = {}
+        for flow in self.flows:
+            s, r = flow
+            index.setdefault(s, []).append(flow)
+            if r != s:
+                index.setdefault(r, []).append(flow)
+        return index
+
     def without_flows(self, removed: Iterable[Flow]) -> "Policy":
         return _derived_policy(self.hosts, self.flows - frozenset(removed))
 

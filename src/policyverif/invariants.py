@@ -8,16 +8,20 @@ module works for arbitrary templates; the concrete ones live in
 :mod:`policyverif.templates`.
 
 Offending flows (minimal repair options for a violated invariant) come from
-a linear fast path for templates whose predicate decomposes into a per-edge
-check, from the minimal transversals of the template's witnesses (Berge's
-algorithm) for templates that list them, else from a subset enumeration
-exponential in the number of flows.  Tests hold the first two to exact
-agreement with the enumeration.  verify takes that route; the blame rule
-lives in offenders.  construct takes it only for templates without
-per-edge structure: for edge-local ones it asks which pairs of the complete
-graph fail, once per pair of attribute classes (``_forbidden_pairs``), and
-tests hold that to exact agreement with the per-flow check.  Both apply the
-one self-flow rule of :class:`EdgePredicate`.
+a per-edge check for templates whose predicate decomposes into one, from the
+minimal transversals of the template's witnesses (Berge's algorithm) for
+templates that list them, else from a subset enumeration exponential in the
+number of flows.  Tests hold the first two to exact agreement with the
+enumeration.  The per-edge check runs on the flows incident to a host whose
+attribute differs from the default, found through the policy's host-to-flows
+index, when the template accepts a flow between two default hosts and fewer
+than half of the hosts are configured; it runs on every flow otherwise, and
+tests hold both to exact agreement.  verify takes that route; the blame rule
+lives in offenders.  construct takes it only for templates without per-edge
+structure: for edge-local ones it asks which pairs of the complete graph
+fail, once per pair of attribute classes (``_forbidden_pairs``), and tests
+hold that to exact agreement with the per-flow check.  Both apply the one
+self-flow rule of :class:`EdgePredicate`.
 
 The secure-default checker decides edge-local templates from pairs of
 attributes, a verdict that holds for policies of every size over those
@@ -43,7 +47,6 @@ from .graph import (
     HostMapping,
     Policy,
     _derived_policy,
-    deny_all,
     total_map,
 )
 
@@ -69,7 +72,13 @@ class EdgePredicate(Generic[A]):
     """A per-edge acceptance check over (sender attribute, receiver attribute).
 
     Templates with this structure are evaluated edge by edge, which makes
-    the offending flows unique and computable in linear time.
+    the offending flows unique and computable in one pass over the flows.
+    When ``predicate(default, default)`` holds, as it does for every shipped
+    template, a failing flow has an endpoint whose attribute is not the
+    default, so that pass needs only the flows incident to such hosts: a
+    handful when, as the paper intends, users configure a few hosts and the
+    default completes the rest.  verify reads them from the policy's index
+    when fewer than half of the hosts are configured.
     ``exempt_reflexive`` skips self-flows, for templates that restrict
     host-to-host traffic but must always permit in-host communication.
     This class owns that self-flow rule: verify, construct and diff all
@@ -84,14 +93,14 @@ class EdgePredicate(Generic[A]):
     predicate: Callable[[A, A], bool]
     exempt_reflexive: bool = False
 
-    def _failing_flows(self, g: Policy, mapping: HostMapping) -> Iterator[Flow]:
-        """The flows of ``g`` whose endpoint attributes fail the check, lazily."""
+    def _failing_flows(self, flows: Iterable[Flow], mapping: HostMapping) -> Iterator[Flow]:
+        """The flows among ``flows`` whose endpoint attributes fail the check, lazily."""
         get = mapping.entries.get
         dft = mapping.default
         check = self.predicate
         exempt = self.exempt_reflexive
         return (
-            (s, r) for s, r in g.flows
+            (s, r) for s, r in flows
             if not check(get(s, dft), get(r, dft)) and (s != r or not exempt)
         )
 
@@ -162,7 +171,7 @@ def edge_template(
     edge = EdgePredicate(predicate, exempt_reflexive)
 
     def evaluate(g: Policy, mapping: HostMapping) -> bool:
-        return next(edge._failing_flows(g, mapping), None) is None
+        return next(edge._failing_flows(g.flows, mapping), None) is None
 
     return Template(name, strategy, default_attr, evaluate, edge)
 
@@ -173,13 +182,19 @@ class InvariantInstance(Generic[A]):
 
     ``config`` may cover any subset of the hosts; the template's default
     attribute fills the gaps, so evaluation always sees a total mapping.
+    That mapping is built once, at construction: admission, verify and
+    construct all read it, and later changes to the ``config`` object do
+    not reach it.
     """
 
     template: Template
     config: Mapping[HostId, A] = field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_mapping", total_map(self.config, self.template.default_attr))
+
     def mapping(self) -> HostMapping:
-        return total_map(self.config, self.template.default_attr)
+        return self._mapping
 
 
 def eval_instance(inst: InvariantInstance, g: Policy) -> bool:
@@ -198,7 +213,7 @@ def check_deny_all_validity(inst: InvariantInstance, hosts: Iterable[HostId]) ->
     Invariants failing this can be violated with no way to repair them by
     tightening the policy, so scenario loading demands it.
     """
-    return eval_instance(inst, deny_all(hosts))
+    return eval_instance(inst, _derived_policy(frozenset(hosts), frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +275,7 @@ def _minimal_transversals(edge_sets: Iterable[FlowSet]) -> list:
 
 
 def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bound: int) -> list:
-    """Offending flows via the per-edge fast path or the witnesses when
+    """Offending flows via the per-edge check or the witnesses when
     available, else via the enumeration.
 
     The witness route answers exactly as the enumeration does: no sets when
@@ -269,7 +284,21 @@ def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bo
     """
     pred = template.edge_pred
     if pred is not None:
-        bad = frozenset(pred._failing_flows(g, mapping))
+        dft = mapping.default
+        flows = g.flows
+        # with half the hosts or more configured, most flows touch one, and
+        # one scan of every flow costs less than building and walking the index
+        if 2 * len(mapping.entries) < len(g.hosts) and pred.predicate(dft, dft):
+            # a failing flow then has an endpoint whose attribute is not the
+            # default: take each flow incident to such a host once, from its
+            # sender's list, or from its receiver's when the sender is unmarked
+            marked = {h for h, attr in mapping.entries.items() if attr != dft}
+            incident = g._incident_flows
+            flows = [
+                f for h in marked for f in incident.get(h, ())
+                if f[0] == h or f[0] not in marked
+            ]
+        bad = frozenset(pred._failing_flows(flows, mapping))
         return [bad] if bad else []
     if template.witnesses is None:
         return _offending_sets_bruteforce(template, g, mapping, edge_bound)
@@ -295,11 +324,16 @@ def offending_flows_bruteforce(
 def offending_flows(
     inst: InvariantInstance, g: Policy, edge_bound: int = DEFAULT_EDGE_BOUND
 ) -> list:
-    """Minimal repair sets, using the linear fast path where the template allows.
+    """Minimal repair sets, using the per-edge check where the template allows.
 
     For edge-local templates the result is the single set of flows whose
     endpoint attributes fail the per-edge check (self-flows excluded when
     the template exempts them), or no set at all when the invariant holds.
+    If the check accepts a flow between two default hosts and fewer than
+    half of the hosts are configured, only the flows incident to a host
+    whose attribute is not the default are checked (a host configured to
+    the default counts as default), read from an index of ``g`` built on
+    first use and kept with the policy; otherwise every flow is.
     Templates with ``witnesses`` get the minimal flow sets meeting every
     witness, and raise :class:`TooLarge` as the enumeration does.  Other
     templates fall back to the brute-force enumeration.

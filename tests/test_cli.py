@@ -36,6 +36,10 @@ DATA = ROOT / "tests" / "data"
 REACH = str(DATA / "reach.json")
 # no_transitive_access on allow-all over 7 hosts: 49 flows, 32 repair sets
 REACH_COMPLETE = str(DATA / "reach_complete.json")
+# sparse configuration: 12 hosts, four edge-local invariants of one or two
+# configured hosts each, one host configured to the default, one host
+# configured with no flows, and self-flows under security_gateway
+SPARSE = str(DATA / "sparse.json")
 
 
 def test_verify_cabin_exits_zero(capsys):
@@ -443,9 +447,10 @@ def test_json_encoder_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
-# Golden documents: the stdout of each command, committed byte for byte.  The
-# references above read the same data forms as the program, so only these
-# catch a slip in a data form itself (key order, a lost sort, a dropped key).
+# Golden documents: the stdout of each command, committed byte for byte, all
+# but one in --json.  The references above read the same data forms as the
+# program, so only these catch a slip in a data form itself (key order, a lost
+# sort, a dropped key).
 _GOLDEN = [
     (["verify", "--json", CABIN_BAD], 1, "verify_cabin_bad.json"),
     (["construct", "--json", CABIN], 0, "construct_cabin.json"),
@@ -453,6 +458,8 @@ _GOLDEN = [
     (["verify", "--json", REACH], 1, "verify_reach.json"),
     (["construct", "--json", REACH], 0, "construct_reach.json"),
     (["diff", "--json", REACH], 0, "diff_reach.json"),
+    (["verify", "--json", SPARSE], 1, "verify_sparse.json"),
+    (["verify", SPARSE], 1, "verify_sparse.txt"),
 ]
 
 

@@ -47,6 +47,14 @@ def test_eval_deny_all_always_holds():
         assert pv.eval_instance(inst, pv.deny_all({"a", "b", "c"})) is True
 
 
+def test_instance_mapping_is_taken_at_construction():
+    config = {"db1": pv.Clearance.secret}
+    inst = pv.InvariantInstance(pv.blp_basic(), config)
+    config["web"] = pv.Clearance.secret
+    assert inst.mapping() is inst.mapping()
+    assert inst.mapping().entries == {"db1": pv.Clearance.secret}
+
+
 def test_compose_empty_is_true():
     assert pv.compose([], pv.make_policy({"A"}, set())) is True
 
@@ -201,6 +209,94 @@ def test_fast_path_falls_back_for_path_invariants():
             pv.no_transitive_access(), {"v0": pv.ReachRole.src, "v17": pv.ReachRole.snk}
         )
         pv.offending_flows(big_inst, big)
+
+
+# ---------------------------------------------------------------------------
+# offending flows, incident-flow route
+
+def _default_fails_templates():
+    """Edge-local templates whose (default, default) pair fails: with
+    attributes {0, 1} and default 0, only a flow touching a host of
+    attribute 1 passes, so every flow must be scanned."""
+    return [
+        pv.edge_template(f"default_fails_{exempt}", pv.Strategy.ACS, 0,
+                         lambda a, b: a == 1 or b == 1, exempt)
+        for exempt in (False, True)
+    ]
+
+
+# (template, attribute universe): the shipped edge-local templates, whose
+# universes hold their defaults, and custom ones with both self-flow rules
+_EDGE_ROUTE_TEMPLATES = (
+    [(spec["template"](), spec["attrs"]) for _, spec in sorted(CORPUS.items())]
+    + [(t, [0, 1]) for t in self_flow_templates() + _default_fails_templates()]
+)
+
+
+def _assert_incident_route_agrees(template, config, g):
+    """verify's route must return exactly the flows the per-edge check
+    rejects among all of ``g.flows``."""
+    inst = pv.InvariantInstance(template, config)
+    expected = frozenset(template.edge_pred._failing_flows(g.flows, inst.mapping()))
+    assert pv.offending_flows(inst, g) == ([expected] if expected else [])
+
+
+@st.composite
+def _edge_route_cases(draw):
+    template, attrs = draw(st.sampled_from(_EDGE_ROUTE_TEMPLATES))
+    hosts = [f"h{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    pairs = [(a, b) for a in hosts for b in hosts]
+    flows = draw(st.frozensets(st.sampled_from(pairs), max_size=10))
+    # "ghost" is configured but lies outside the policy
+    config = draw(st.dictionaries(st.sampled_from(hosts + ["ghost"]), st.sampled_from(attrs)))
+    return template, config, pv.make_policy(hosts, flows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_route_cases())
+def test_incident_route_agrees_with_the_full_scan(case):
+    _assert_incident_route_agrees(*case)
+
+
+def test_incident_route_agrees_with_the_full_scan_seeded():
+    rng = random.Random(14)
+    for _ in range(400):
+        template, attrs = rng.choice(_EDGE_ROUTE_TEMPLATES)
+        g = random_policy(rng, max_hosts=6, max_edges=14)
+        config = {h: rng.choice(attrs) for h in g.hosts if rng.random() < 0.5}
+        _assert_incident_route_agrees(template, config, g)
+
+
+def test_incident_route_cases_by_hand():
+    sgw, memb, other = pv.SgwRole.sgw, pv.SgwRole.memb, pv.SgwRole.default
+    # gateway self-flows of configured (m1, gw, out) and unconfigured (x)
+    # hosts; "out" is configured to the default, "idle" has no flows; the
+    # failing x -> m1 and x -> gw are found only from their receivers' side.
+    # Five of eleven hosts are configured, so verify reads the index.
+    g = pv.make_policy(
+        {"gw", "m1", "m2", "out", "x", "idle", "y1", "y2", "y3", "y4", "y5"},
+        {("m1", "m1"), ("gw", "gw"), ("out", "out"), ("x", "x"), ("x", "m1"),
+         ("m1", "m2"), ("gw", "m1"), ("x", "gw"), ("out", "m2"), ("m2", "gw"),
+         ("y1", "y2"), ("y2", "x")},
+    )
+    config = {"gw": sgw, "m1": memb, "m2": memb, "out": other, "idle": memb}
+    _assert_incident_route_agrees(pv.security_gateway(), config, g)
+    inst = pv.InvariantInstance(pv.security_gateway(), config)
+    assert pv.offending_flows(inst, g) == [
+        frozenset({("x", "m1"), ("m1", "m2"), ("x", "gw"), ("out", "m2")})
+    ]
+    assert "_incident_flows" in vars(g)
+    # the same roles under both self-flow rules of a custom template
+    for template in self_flow_templates():
+        _assert_incident_route_agrees(template, {"m1": 1, "out": 0, "idle": 1}, g)
+    # a failing (default, default) pair: unconfigured flows fail too
+    for template in _default_fails_templates():
+        _assert_incident_route_agrees(template, {"m1": 1, "out": 0}, g)
+        flows = pv.offending_flows(pv.InvariantInstance(template, {"m1": 1}), g)[0]
+        assert ("out", "m2") in flows
+        assert (("x", "x") in flows) is not template.edge_pred.exempt_reflexive
+    # every host configured to the default: nothing fails
+    _assert_incident_route_agrees(pv.security_gateway(), dict.fromkeys(g.hosts, other), g)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +699,7 @@ def test_forbidden_pairs_equal_failing_flows_of_allow_all(case):
     mapping = inst.mapping()
     forbidden = list(edge._forbidden_pairs(g.hosts, mapping))
     assert len(forbidden) == len(set(forbidden))
-    assert set(forbidden) == set(edge._failing_flows(pv.allow_all(g.hosts), mapping))
+    assert set(forbidden) == set(edge._failing_flows(pv.allow_all(g.hosts).flows, mapping))
 
 
 @settings(max_examples=80, deadline=None)
