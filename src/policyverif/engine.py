@@ -9,6 +9,7 @@ user-written policy against that construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Tuple
@@ -75,14 +76,15 @@ def verify(scenario: Scenario, edge_bound: int = DEFAULT_EDGE_BOUND) -> Verifica
     results = []
     for inst in scenario.invariants:
         sets = offending_flows(inst, scenario.policy, edge_bound)
-        blamed = frozenset().union(*(offenders(inst, fs) for fs in sets))
+        template = inst.template
+        # positional: name, strategy, holds, offending, offender_hosts
         results.append(
             InvariantResult(
-                name=inst.template.name,
-                strategy=inst.template.strategy,
-                holds=not sets,
-                offending=tuple(sets),
-                offender_hosts=blamed,
+                template.name,
+                template.strategy,
+                not sets,
+                tuple(sets),
+                offenders(inst, itertools.chain.from_iterable(sets)),
             )
         )
     return VerificationReport(tuple(results), all(r.holds for r in results))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Generic, Iterable, Mapping, Tuple, TypeVar
 
 from .errors import DanglingEndpoint
@@ -77,9 +78,11 @@ def _derived_policy(hosts: frozenset, flows: frozenset) -> Policy:
 
 def _checked_hosts(hosts: Iterable[HostId]) -> frozenset:
     hostset = frozenset(hosts)
-    for h in hostset:
-        if not isinstance(h, str) or not h:
-            raise ValueError(f"host names must be non-empty strings, got {h!r}")
+    # the whole check runs in C; the loop only finds the name to report
+    if "" in hostset or not all(map(isinstance, hostset, repeat(str))):
+        for h in hostset:
+            if not isinstance(h, str) or not h:
+                raise ValueError(f"host names must be non-empty strings, got {h!r}")
     return hostset
 
 
@@ -105,7 +108,7 @@ def allow_all(hosts: Iterable[HostId]) -> Policy:
 
 def deny_all(hosts: Iterable[HostId]) -> Policy:
     """Same hosts, no flows at all."""
-    return Policy(_checked_hosts(hosts), frozenset())
+    return _derived_policy(_checked_hosts(hosts), frozenset())
 
 
 @dataclass(frozen=True)

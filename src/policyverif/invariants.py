@@ -15,13 +15,14 @@ number of flows.  Tests hold the first two to exact agreement with the
 enumeration.  The per-edge check runs on the flows incident to a host whose
 attribute differs from the default, found through the policy's host-to-flows
 index, when the template accepts a flow between two default hosts and fewer
-than half of the hosts are configured; it runs on every flow otherwise, and
-tests hold both to exact agreement.  verify takes that route; the blame rule
-lives in offenders.  construct takes it only for templates without per-edge
-structure: for edge-local ones it asks which pairs of the complete graph
-fail, once per pair of attribute classes (``_forbidden_pairs``), and tests
-hold that to exact agreement with the per-flow check.  Both apply the one
-self-flow rule of :class:`EdgePredicate`.
+than half of the hosts have such an attribute; it runs on every flow
+otherwise, and tests hold both to exact agreement.  verify takes that route;
+the blame rule lives in offenders.  construct takes it only for templates
+without per-edge structure: for edge-local ones it asks which pairs of the
+complete graph fail, once per pair of attribute classes
+(``_forbidden_pairs``), and tests hold that to exact agreement with the
+per-flow check.  Both apply the one self-flow rule of
+:class:`EdgePredicate`.
 
 The secure-default checker decides edge-local templates from pairs of
 attributes, a verdict that holds for policies of every size over those
@@ -47,6 +48,7 @@ from .graph import (
     HostMapping,
     Policy,
     _derived_policy,
+    deny_all,
     total_map,
 )
 
@@ -78,7 +80,8 @@ class EdgePredicate(Generic[A]):
     default, so that pass needs only the flows incident to such hosts: a
     handful when, as the paper intends, users configure a few hosts and the
     default completes the rest.  verify reads them from the policy's index
-    when fewer than half of the hosts are configured.
+    when fewer than half of the hosts have an attribute other than the
+    default.
     ``exempt_reflexive`` skips self-flows, for templates that restrict
     host-to-host traffic but must always permit in-host communication.
     This class owns that self-flow rule: verify, construct and diff all
@@ -182,16 +185,19 @@ class InvariantInstance(Generic[A]):
 
     ``config`` may cover any subset of the hosts; the template's default
     attribute fills the gaps, so evaluation always sees a total mapping.
-    That mapping is built once, at construction: admission, verify and
-    construct all read it, and later changes to the ``config`` object do
-    not reach it.
+    That mapping is built once, at construction, from a copy of the given
+    configuration, and ``config`` is that copy: admission, verify and
+    construct all read the one mapping, and later changes to the object
+    passed in reach neither.
     """
 
     template: Template
     config: Mapping[HostId, A] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "_mapping", total_map(self.config, self.template.default_attr))
+        mapping = total_map(self.config, self.template.default_attr)
+        object.__setattr__(self, "config", mapping.entries)
+        object.__setattr__(self, "_mapping", mapping)
 
     def mapping(self) -> HostMapping:
         return self._mapping
@@ -213,7 +219,7 @@ def check_deny_all_validity(inst: InvariantInstance, hosts: Iterable[HostId]) ->
     Invariants failing this can be violated with no way to repair them by
     tightening the policy, so scenario loading demands it.
     """
-    return eval_instance(inst, _derived_policy(frozenset(hosts), frozenset()))
+    return eval_instance(inst, deny_all(hosts))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +292,20 @@ def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bo
     if pred is not None:
         dft = mapping.default
         flows = g.flows
-        # with half the hosts or more configured, most flows touch one, and
-        # one scan of every flow costs less than building and walking the index
-        if 2 * len(mapping.entries) < len(g.hosts) and pred.predicate(dft, dft):
+        if pred.predicate(dft, dft):
             # a failing flow then has an endpoint whose attribute is not the
-            # default: take each flow incident to such a host once, from its
-            # sender's list, or from its receiver's when the sender is unmarked
+            # default; with half the hosts or more marked, most flows touch
+            # one, and one scan of every flow costs less than the index
             marked = {h for h, attr in mapping.entries.items() if attr != dft}
-            incident = g._incident_flows
-            flows = [
-                f for h in marked for f in incident.get(h, ())
-                if f[0] == h or f[0] not in marked
-            ]
+            if 2 * len(marked) < len(g.hosts):
+                # take each flow incident to a marked host once, from its
+                # sender's list, or from its receiver's when the sender is
+                # unmarked
+                incident = g._incident_flows
+                flows = [
+                    f for h in marked for f in incident.get(h, ())
+                    if f[0] == h or f[0] not in marked
+                ]
         bad = frozenset(pred._failing_flows(flows, mapping))
         return [bad] if bad else []
     if template.witnesses is None:
@@ -330,10 +338,10 @@ def offending_flows(
     endpoint attributes fail the per-edge check (self-flows excluded when
     the template exempts them), or no set at all when the invariant holds.
     If the check accepts a flow between two default hosts and fewer than
-    half of the hosts are configured, only the flows incident to a host
-    whose attribute is not the default are checked (a host configured to
-    the default counts as default), read from an index of ``g`` built on
-    first use and kept with the policy; otherwise every flow is.
+    half of the hosts have an attribute other than the default (a host
+    configured to the default counts as default), only the flows incident
+    to those hosts are checked, read from an index of ``g`` built on first
+    use and kept with the policy; otherwise every flow is.
     Templates with ``witnesses`` get the minimal flow sets meeting every
     witness, and raise :class:`TooLarge` as the enumeration does.  Other
     templates fall back to the brute-force enumeration.

@@ -47,12 +47,15 @@ def test_eval_deny_all_always_holds():
         assert pv.eval_instance(inst, pv.deny_all({"a", "b", "c"})) is True
 
 
-def test_instance_mapping_is_taken_at_construction():
+def test_instance_config_and_mapping_are_one_copy_taken_at_construction():
     config = {"db1": pv.Clearance.secret}
     inst = pv.InvariantInstance(pv.blp_basic(), config)
     config["web"] = pv.Clearance.secret
     assert inst.mapping() is inst.mapping()
-    assert inst.mapping().entries == {"db1": pv.Clearance.secret}
+    assert inst.mapping().entries is inst.config
+    assert inst.config == {"db1": pv.Clearance.secret}
+    assert inst == pv.InvariantInstance(pv.blp_basic(), {"db1": pv.Clearance.secret})
+    assert inst != pv.InvariantInstance(pv.blp_basic(), config)
 
 
 def test_compose_empty_is_true():
@@ -459,6 +462,13 @@ def test_deny_all_validity_for_shipped_templates():
         assert pv.check_deny_all_validity(inst, {"x", "y"}) is True
     inst = pv.InvariantInstance(pv.no_transitive_access(), {})
     assert pv.check_deny_all_validity(inst, {"x", "y"}) is True
+
+
+def test_deny_all_validity_checks_host_names():
+    inst = pv.InvariantInstance(pv.blp_basic(), {})
+    for hosts in (["", "a"], ["a", 3]):
+        with pytest.raises(ValueError, match="host names must be non-empty strings"):
+            pv.check_deny_all_validity(inst, hosts)
 
 
 def test_broken_template_fails_deny_all_and_has_no_repairs():
