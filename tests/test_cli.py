@@ -447,10 +447,11 @@ def test_json_encoder_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
 
 
-# Golden documents: the stdout of each command, committed byte for byte, all
-# but one in --json.  The references above read the same data forms as the
-# program, so only these catch a slip in a data form itself (key order, a lost
-# sort, a dropped key).
+# Golden documents: the stdout of each command, committed byte for byte, most
+# in --json.  The references above read the same data forms as the program, so
+# only these catch a slip in a data form itself (key order, a lost sort, a
+# dropped key).  The sparse document configures few of its hosts, so most
+# senders share the unconfigured hosts' attribute class.
 _GOLDEN = [
     (["verify", "--json", CABIN_BAD], 1, "verify_cabin_bad.json"),
     (["construct", "--json", CABIN], 0, "construct_cabin.json"),
@@ -460,6 +461,10 @@ _GOLDEN = [
     (["diff", "--json", REACH], 0, "diff_reach.json"),
     (["verify", "--json", SPARSE], 1, "verify_sparse.json"),
     (["verify", SPARSE], 1, "verify_sparse.txt"),
+    (["construct", "--json", SPARSE], 0, "construct_sparse.json"),
+    (["construct", SPARSE], 0, "construct_sparse.txt"),
+    (["diff", "--json", SPARSE], 0, "diff_sparse.json"),
+    (["diff", SPARSE], 0, "diff_sparse.txt"),
 ]
 
 
@@ -471,10 +476,19 @@ def test_json_documents_match_golden_files(argv, code, golden, capsys):
 
 
 def test_construct_dot_matches_golden_file(tmp_path, capsys):
-    out_path = tmp_path / "reach.dot"
-    assert cli_main(["construct", "--dot", str(out_path), REACH]) == 0
+    for document, golden in ((REACH, "construct_reach.dot"), (SPARSE, "construct_sparse.dot")):
+        out_path = tmp_path / golden
+        assert cli_main(["construct", "--dot", str(out_path), document]) == 0
+        capsys.readouterr()
+        expected = (DATA / golden).read_text(encoding="utf-8")
+        assert out_path.read_text(encoding="utf-8") == expected
+
+
+def test_diff_dot_matches_golden_file(tmp_path, capsys):
+    out_path = tmp_path / "diff_sparse.dot"
+    assert cli_main(["diff", "--dot", str(out_path), SPARSE]) == 0
     capsys.readouterr()
-    expected = (DATA / "construct_reach.dot").read_text(encoding="utf-8")
+    expected = (DATA / "diff_sparse.dot").read_text(encoding="utf-8")
     assert out_path.read_text(encoding="utf-8") == expected
 
 
