@@ -18,6 +18,7 @@ import os
 import random
 import sys
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 from .engine import (
     PolicyDiff,
@@ -173,14 +174,13 @@ def _print_result(
     text: str, dot_path, policy: Policy, diff: PolicyDiff | None = None
 ) -> None:
     """Print a result, writing its DOT file first, so that a run that fails
-    to write the file prints nothing.  A text the output stream cannot encode
-    raises the printing error before the file is written."""
+    to write the file prints nothing.  An unencodable text or a failed DOT
+    rendering raises before the file is opened."""
     if dot_path:
         encoding = getattr(sys.stdout, "encoding", None)
         if encoding:  # an in-memory stream has none and takes any text
             text.encode(encoding, sys.stdout.errors or "strict")
-        with open(dot_path, "w", encoding="utf-8") as handle:
-            handle.write(export_dot(policy, diff))
+        Path(dot_path).write_text(export_dot(policy, diff), encoding="utf-8")
     print(text)
 
 
@@ -350,6 +350,9 @@ def cli_main(argv=None) -> int:
 
     except (PolicyVerifError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # results and DOT text are built before anything is written
+        print("error: out of memory", file=sys.stderr)
         return 2
     except UnicodeEncodeError as exc:  # a result is printed whole: nothing got out
         print(f"error: output not encodable as {exc.encoding}; use --json", file=sys.stderr)

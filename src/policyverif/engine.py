@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .errors import InvariantRejected, UnknownHost
-from .graph import FlowSet, HostId, Policy, _all_pairs_but, _checked_hosts
+from .graph import FlowSet, HostId, Policy, _checked_hosts, _derived_policy, _walk
 from .invariants import (
     DEFAULT_EDGE_BOUND,
     InvariantInstance,
@@ -90,38 +90,53 @@ def verify(scenario: Scenario, edge_bound: int = DEFAULT_EDGE_BOUND) -> Verifica
     return VerificationReport(tuple(results), all(r.holds for r in results))
 
 
+def _forbidden_receivers(
+    hosts: frozenset, invariants: Sequence[InvariantInstance], edge_bound: int
+) -> dict:
+    """The kernel of construct and diff: each host of ``hosts`` mapped to the
+    frozenset of receivers it may not reach.  Invariant by invariant, these
+    grow by its offending flows, as verify reports them, on the pairs still
+    allowed; monotonicity makes each step final.  An edge-local invariant
+    gives its class table, the same on any policy."""
+    common, own = set(), {}  # what the senders without a row may not reach; the others
+    for inst in invariants:
+        pred = inst.template.edge_pred
+        if pred is not None:
+            rows, rest = pred._forbidden_table(hosts, inst.mapping())
+        else:
+            so_far = {**dict.fromkeys(hosts, common), **own}
+            current = _derived_policy(hosts, frozenset(_walk(hosts, so_far)))
+            rows, rest = {}, ()
+            for s, r in itertools.chain.from_iterable(offending_flows(inst, current, edge_bound)):
+                rows.setdefault(s, set()).add(r)
+        for s, blocked in rows.items():
+            own.setdefault(s, set(common)).update(blocked)
+        if rest:
+            for s, acc in own.items():
+                if s not in rows:
+                    acc |= rest
+            common |= rest
+    return {**dict.fromkeys(hosts, frozenset(common)), **{s: frozenset(b) for s, b in own.items()}}
+
+
 def construct_max_policy(
     hosts: Iterable[HostId],
     invariants: Sequence[InvariantInstance],
     edge_bound: int = DEFAULT_EDGE_BOUND,
 ) -> Policy:
-    """The most permissive policy satisfying all invariants.
+    """The most permissive policy satisfying all invariants.  One walk over
+    the sorted hosts lists, sender by sender, the receivers it may reach
+    (:func:`_forbidden_receivers`); that walk is the policy's sorted flows.
 
-    The result is allow-all minus one removal set.  Invariant by invariant,
-    in the given order, the removal grows by the union of the offending
-    flow sets, exactly as verify reports them; each invariant sees
-    allow-all minus everything removed before it.  Monotonicity makes each
-    removal final, so one pass suffices.  For scenarios built purely from
-    edge-local templates the result is the unique maximum; with templates
-    without per-edge structure the union removal is still sound but may
-    prohibit more than strictly necessary.  An edge-local invariant forbids
-    the same pairs whatever else the policy holds, so its removal comes from
-    its forbidden pairs (one predicate call per pair of attribute classes,
-    not one per flow).
-
-    A self-flow is removed only where its template rejects it, which no
-    shipped template does.  Callers must only pass invariants that hold on
-    the flow-less policy (scenario loading guarantees this).
+    The unique maximum when every template is edge-local; otherwise sound,
+    but it may prohibit more than strictly necessary.  A self-flow is
+    forbidden only where its template rejects it, which no shipped one
+    does.  Every invariant must hold on the flow-less policy, as scenario
+    loading guarantees.
     """
     hosts = _checked_hosts(hosts)
-    removed = set()
-    for inst in invariants:
-        pred = inst.template.edge_pred
-        if pred is not None:
-            removed.update(pred._forbidden_pairs(hosts, inst.mapping()))
-        else:
-            removed.update(*offending_flows(inst, _all_pairs_but(hosts, removed), edge_bound))
-    return _all_pairs_but(hosts, removed)
+    walked = _walk(hosts, _forbidden_receivers(hosts, invariants, edge_bound))
+    return _derived_policy(hosts, frozenset(walked), tuple(walked))
 
 
 @dataclass(frozen=True)
@@ -153,17 +168,14 @@ def diff(
     invariants: Sequence[InvariantInstance],
     edge_bound: int = DEFAULT_EDGE_BOUND,
 ) -> PolicyDiff:
-    """Compare a hand-written policy against what the invariants admit.
-
-    A self-flow counts as violating only where its template rejects it,
-    which no shipped template does.
-    """
-    maximum = construct_max_policy(user_policy.hosts, invariants, edge_bound)
-    violating = user_policy.flows - maximum.flows
-    return PolicyDiff(
-        violating=violating,
-        permitted_missing=frozenset(
-            (s, r) for s, r in maximum.flows - user_policy.flows if s != r
-        ),
-        reflexive=frozenset((s, r) for s, r in user_policy.flows if s == r) - violating,
-    )
+    """Compare a hand-written policy against what the invariants admit, from
+    the kernel and the walk of :func:`construct_max_policy`, which lists the
+    missing flows sorted."""
+    flows = user_policy.flows
+    blocked = _forbidden_receivers(user_policy.hosts, invariants, edge_bound)
+    violating = frozenset((s, r) for s, r in flows if r in blocked[s])
+    missing = [f for f in _walk(user_policy.hosts, blocked) if f[0] != f[1] and f not in flows]
+    reflexive = frozenset((s, r) for s, r in flows if s == r) - violating
+    result = PolicyDiff(violating, frozenset(missing), reflexive)
+    result.__dict__["_sorted_missing"] = tuple(missing)  # the walk's order is sorted
+    return result

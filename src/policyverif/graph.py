@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import product, repeat
 from typing import Generic, Iterable, Mapping, Tuple, TypeVar
 
 from .errors import DanglingEndpoint
@@ -62,8 +62,9 @@ class Policy:
         return _derived_policy(self.hosts, self.flows - frozenset(removed))
 
 
-def _derived_policy(hosts: frozenset, flows: frozenset) -> Policy:
-    """A policy from a host set and a flow set already known to lie within it.
+def _derived_policy(hosts: frozenset, flows: frozenset, sorted_flows: tuple = None) -> Policy:
+    """A policy from a host set and a flow set already known to lie within it
+    (and, if the caller has them, those flows sorted).
 
     For sub-policies derived inside the library (a checked policy's flows,
     or pairs of its own hosts) and for the scenario loader, whose parsers
@@ -73,6 +74,8 @@ def _derived_policy(hosts: frozenset, flows: frozenset) -> Policy:
     fields = policy.__dict__
     fields["hosts"] = hosts
     fields["flows"] = flows
+    if sorted_flows is not None:
+        fields["_sorted_flows"] = sorted_flows
     return policy
 
 
@@ -91,11 +94,17 @@ def make_policy(hosts: Iterable[HostId], flows: Iterable[Flow]) -> Policy:
     return Policy(_checked_hosts(hosts), frozenset((s, r) for s, r in flows))
 
 
-def _all_pairs_but(hosts: frozenset, removed) -> Policy:
-    """Every ordered pair of ``hosts``, reflexive pairs included, except ``removed``."""
-    return _derived_policy(
-        hosts, frozenset((s, r) for s in hosts for r in hosts if (s, r) not in removed)
-    )
+def _walk(hosts: frozenset, blocked: Mapping[HostId, frozenset]) -> list:
+    """Every ordered pair of ``hosts`` whose receiver is not in its sender's
+    ``blocked`` set, sorted: senders in order, each one's receivers in order."""
+    order = sorted(hosts)
+    walked, left = [], {}  # left: id of a blocked set -> the receivers it leaves, in order
+    for s in order:
+        skip = blocked[s]
+        if id(skip) not in left:
+            left[id(skip)] = [r for r in order if r not in skip]
+        walked += zip(repeat(s), left[id(skip)])
+    return walked
 
 
 def allow_all(hosts: Iterable[HostId]) -> Policy:
@@ -103,7 +112,8 @@ def allow_all(hosts: Iterable[HostId]) -> Policy:
 
     Host names are checked; the pairs of those hosts need no endpoint check.
     """
-    return _all_pairs_but(_checked_hosts(hosts), ())
+    hosts = _checked_hosts(hosts)
+    return _derived_policy(hosts, frozenset(product(hosts, repeat=2)))
 
 
 def deny_all(hosts: Iterable[HostId]) -> Policy:
@@ -124,6 +134,12 @@ class HostMapping(Generic[A]):
 
     def lookup(self, host: HostId) -> A:
         return self.entries.get(host, self.default)
+
+    @cached_property
+    def _marked(self) -> dict:
+        """The *marked* hosts, whose attribute is not the default, each mapped to it."""
+        dft = self.default
+        return {h: attr for h, attr in self.entries.items() if attr != dft}
 
 
 def total_map(config: Mapping[HostId, A], default: A) -> HostMapping:

@@ -3,26 +3,18 @@
 A template fixes the formal semantics of one kind of invariant: a security
 strategy (access control or information flow), an evaluation predicate over
 a policy and a total host-attribute mapping, and the secure default
-attribute used to complete partial configurations.  Everything in this
-module works for arbitrary templates; the concrete ones live in
-:mod:`policyverif.templates`.
+attribute used to complete partial configurations.  Everything here works
+for any template; the concrete ones live in :mod:`policyverif.templates`.
 
 Offending flows (minimal repair options for a violated invariant) come from
 a per-edge check for templates whose predicate decomposes into one, from the
 minimal transversals of the template's witnesses (Berge's algorithm) for
 templates that list them, else from a subset enumeration exponential in the
-number of flows.  Tests hold the first two to exact agreement with the
-enumeration.  The per-edge check runs on the flows incident to a host whose
-attribute differs from the default, found through the policy's host-to-flows
-index, when the template accepts a flow between two default hosts and fewer
-than half of the hosts have such an attribute; it runs on every flow
-otherwise, and tests hold both to exact agreement.  verify takes that route;
-the blame rule lives in offenders.  construct takes it only for templates
-without per-edge structure: for edge-local ones it asks which pairs of the
-complete graph fail, once per pair of attribute classes
-(``_forbidden_pairs``), and tests hold that to exact agreement with the
-per-flow check.  Both apply the one self-flow rule of
-:class:`EdgePredicate`.
+number of flows; tests hold the first two to exact agreement with the last.
+verify applies the per-edge check to the policy's flows, while construct and
+diff read one table per invariant of which attribute classes may not reach
+which (``EdgePredicate._forbidden_table``); tests hold the two to exact
+agreement, and both apply the one self-flow rule of :class:`EdgePredicate`.
 
 The secure-default checker decides edge-local templates from pairs of
 attributes, a verdict that holds for policies of every size over those
@@ -73,24 +65,13 @@ class Strategy(Enum):
 class EdgePredicate(Generic[A]):
     """A per-edge acceptance check over (sender attribute, receiver attribute).
 
-    Templates with this structure are evaluated edge by edge, which makes
-    the offending flows unique and computable in one pass over the flows.
-    When ``predicate(default, default)`` holds, as it does for every shipped
-    template, a failing flow has an endpoint whose attribute is not the
-    default, so that pass needs only the flows incident to such hosts: a
-    handful when, as the paper intends, users configure a few hosts and the
-    default completes the rest.  verify reads them from the policy's index
-    when fewer than half of the hosts have an attribute other than the
-    default.
-    ``exempt_reflexive`` skips self-flows, for templates that restrict
-    host-to-host traffic but must always permit in-host communication.
-    This class owns that self-flow rule: verify, construct and diff all
-    reject exactly the flows its two generators yield.
-
-    ``predicate`` must depend on the two attribute values alone, and
-    attributes must be hashable: hosts with equal attributes then get equal
-    verdicts, which lets construction decide once per pair of attribute
-    classes instead of once per flow.
+    The offending flows of an edge-local template are unique: those failing
+    the check.  ``predicate`` must read the two attribute values alone, and
+    attributes must be hashable, so that hosts of one attribute class share
+    every verdict.  ``exempt_reflexive`` skips self-flows, for templates
+    that restrict host-to-host traffic but must always permit in-host
+    communication.  This class owns that self-flow rule: ``_failing_flows``
+    (verify) and ``_forbidden_table`` (construct, diff) reject the same flows.
     """
 
     predicate: Callable[[A, A], bool]
@@ -107,30 +88,29 @@ class EdgePredicate(Generic[A]):
             if not check(get(s, dft), get(r, dft)) and (s != r or not exempt)
         )
 
-    def _forbidden_pairs(self, hosts: Iterable[HostId], mapping: HostMapping) -> Iterator[Flow]:
+    def _forbidden_table(self, hosts: frozenset, mapping: HostMapping) -> tuple:
         """Exactly the flows ``_failing_flows`` yields on the complete graph
-        over ``hosts``, lazily.
-
-        Hosts are grouped by attribute value, so a configured host whose
-        attribute equals the default joins the unconfigured hosts' class, and
-        the check runs once per ordered pair of classes.
-        """
-        get = mapping.entries.get
-        dft = mapping.default
-        classes = {}
-        for h in hosts:
-            classes.setdefault(get(h, dft), []).append(h)
-        check = self.predicate
-        exempt = self.exempt_reflexive
-        for snd, senders in classes.items():
-            for rcv, receivers in classes.items():
-                if check(snd, rcv):
-                    continue
-                if senders is receivers and exempt:
-                    # only a class paired with itself holds self-pairs
-                    yield from ((s, r) for s in senders for r in receivers if s != r)
-                else:
-                    yield from itertools.product(senders, receivers)
+        over ``hosts``, as ``(rows, rest)``: ``rows`` maps some senders to
+        the receivers each may not reach, and ``rest`` is that set for the
+        others.  The check runs once per ordered pair of attribute classes,
+        whose senders share one set unless the self-flow rule exempts each."""
+        marked = mapping._marked
+        unmarked = hosts.difference(marked)
+        grouped = {}
+        for h, attr in marked.items():
+            if h in hosts:
+                grouped.setdefault(attr, []).append(h)
+        classes = [(a, m) for a, m in [*grouped.items(), (mapping.default, unmarked)] if m]
+        rows, rest = {}, frozenset()
+        for snd, senders in classes:
+            blocked = frozenset().union(*[m for rcv, m in classes if not self.predicate(snd, rcv)])
+            if self.exempt_reflexive and not blocked.isdisjoint(senders):
+                rows.update((s, blocked - {s}) for s in senders)
+            elif senders is unmarked:
+                rest = blocked
+            else:
+                rows.update(dict.fromkeys(senders, blocked))
+        return rows, rest
 
 
 @dataclass(frozen=True)
@@ -281,13 +261,7 @@ def _minimal_transversals(edge_sets: Iterable[FlowSet]) -> list:
 
 
 def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bound: int) -> list:
-    """Offending flows via the per-edge check or the witnesses when
-    available, else via the enumeration.
-
-    The witness route answers exactly as the enumeration does: no sets when
-    the invariant holds, :class:`TooLarge` past ``edge_bound`` flows, and the
-    sets by size, then by sorted flows.
-    """
+    """:func:`offending_flows` of a template under a total mapping."""
     pred = template.edge_pred
     if pred is not None:
         dft = mapping.default
@@ -296,7 +270,7 @@ def _offending_sets(template: Template, g: Policy, mapping: HostMapping, edge_bo
             # a failing flow then has an endpoint whose attribute is not the
             # default; with half the hosts or more marked, most flows touch
             # one, and one scan of every flow costs less than the index
-            marked = {h for h, attr in mapping.entries.items() if attr != dft}
+            marked = mapping._marked
             if 2 * len(marked) < len(g.hosts):
                 # take each flow incident to a marked host once, from its
                 # sender's list, or from its receiver's when the sender is
@@ -334,20 +308,15 @@ def offending_flows(
 ) -> list:
     """Minimal repair sets, using the per-edge check where the template allows.
 
-    For edge-local templates the result is the single set of flows whose
-    endpoint attributes fail the per-edge check (self-flows excluded when
-    the template exempts them), or no set at all when the invariant holds.
-    If the check accepts a flow between two default hosts and fewer than
-    half of the hosts have an attribute other than the default (a host
-    configured to the default counts as default), only the flows incident
-    to those hosts are checked, read from an index of ``g`` built on first
-    use and kept with the policy; otherwise every flow is.
-    Templates with ``witnesses`` get the minimal flow sets meeting every
-    witness, and raise :class:`TooLarge` as the enumeration does.  Other
-    templates fall back to the brute-force enumeration.
-
-    The sets come by size, then by sorted flows: the enumeration walks the
-    subsets of the sorted flows in that order.
+    For edge-local templates: the one set of flows failing the per-edge
+    check (self-flows excluded when the template exempts them), or none.
+    When the check accepts a flow between two default hosts and fewer than
+    half of the hosts are *marked* (attribute not the default), only flows
+    touching a marked host are checked, read from an index of ``g`` built
+    on first use.  Templates with ``witnesses`` get the minimal flow sets
+    meeting every witness, and raise :class:`TooLarge` as the brute-force
+    enumeration does, which other templates fall back to.  The sets come by
+    size, then by sorted flows, the order in which the enumeration walks them.
     """
     return _offending_sets(inst.template, g, inst.mapping(), edge_bound)
 

@@ -229,8 +229,9 @@ def test_construct_equals_the_flow_scan_reference():
 
 def test_construct_calls_each_edge_predicate_once_per_class_pair():
     # with the secure default, an invariant over n hosts has at most
-    # |config| + 1 attribute classes; construction decides per class pair,
-    # not per flow of the n * n allow-all policy
+    # |config| + 1 attribute classes; construction's kernel reads one table
+    # per invariant (EdgePredicate._forbidden_table), decided per class
+    # pair, not per flow of the n * n allow-all policy
     counts = Counter()
 
     def counting(template):
@@ -254,6 +255,53 @@ def test_construct_calls_each_edge_predicate_once_per_class_pair():
     maximum = pv.construct_max_policy(hosts, counted)
     assert counts["predicate_calls"] <= class_pairs
     assert maximum == construct_by_flow_scan(hosts, instances)
+
+
+_NAMES = st.text(alphabet='ab"\\\u00e9\u2192', min_size=1, max_size=3)
+_EDGE_TEMPLATES = [(spec["template"](), spec["attrs"]) for spec in CORPUS.values()] + [
+    (template, [0, 1]) for template in self_flow_templates()
+]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """1-8 hosts with quotes, backslashes and non-ASCII in their names; 1-3
+    edge-local invariants, each configuring at most two hosts (sparse) or
+    all but at most one (near-full), from universes that hold the default;
+    up to 4 hosts, a reachability invariant anywhere in the list; and a
+    user policy."""
+    hosts = draw(st.lists(_NAMES, min_size=1, max_size=8, unique=True))
+    instances = []
+    for _ in range(draw(st.integers(1, 3))):
+        template, attrs = draw(st.sampled_from(_EDGE_TEMPLATES))
+        if draw(st.booleans()):
+            configured = draw(st.lists(st.sampled_from(hosts), unique=True, max_size=2))
+        else:
+            skipped = draw(st.sampled_from([None] + hosts))
+            configured = [h for h in hosts if h != skipped]
+        config = {h: draw(st.sampled_from(attrs)) for h in configured}
+        instances.append(pv.InvariantInstance(template, config))
+    if len(hosts) <= 4 and draw(st.booleans()):
+        roles = {h: draw(st.sampled_from(list(pv.ReachRole))) for h in hosts}
+        reach = pv.InvariantInstance(pv.no_transitive_access(), roles)
+        instances.insert(draw(st.integers(0, len(instances))), reach)
+    flows = draw(st.sets(st.tuples(st.sampled_from(hosts), st.sampled_from(hosts))))
+    return hosts, instances, pv.make_policy(hosts, flows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_cases())
+def test_construct_and_diff_agree_exactly_with_the_flow_scan(case):
+    hosts, instances, user = case
+    expected = construct_by_flow_scan(hosts, instances)
+    maximum = pv.construct_max_policy(hosts, instances)
+    assert maximum == expected
+    assert maximum.sorted_flows() == sorted(maximum.flows)
+    result = pv.diff(user, instances)
+    assert result.violating == user.flows - expected.flows
+    assert result.permitted_missing == {(s, r) for s, r in expected.flows - user.flows if s != r}
+    assert result.reflexive == {(s, r) for s, r in user.flows & expected.flows if s == r}
+    assert result.sorted_missing() == sorted(result.permitted_missing)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import policyverif as pv
+from policyverif.engine import _forbidden_receivers
 from policyverif.invariants import _bounded_secure_default_counterexample, _minimal_transversals
 
 from helpers import (
@@ -702,12 +703,13 @@ def test_fast_and_bruteforce_agree(case):
 @settings(max_examples=80, deadline=None)
 @given(corpus_cases())
 def test_forbidden_pairs_equal_failing_flows_of_allow_all(case):
-    # the class route of construct and the per-flow route of verify answer
-    # the same question on the complete graph, self-flows included
+    # the class table of construct's kernel and the per-flow route of verify
+    # answer the same question on the complete graph, self-flows included
     inst, g = case
     edge = inst.template.edge_pred
     mapping = inst.mapping()
-    forbidden = list(edge._forbidden_pairs(g.hosts, mapping))
+    blocked = _forbidden_receivers(g.hosts, [inst], pv.DEFAULT_EDGE_BOUND)
+    forbidden = [(s, r) for s, receivers in blocked.items() for r in receivers]
     assert len(forbidden) == len(set(forbidden))
     assert set(forbidden) == set(edge._failing_flows(pv.allow_all(g.hosts).flows, mapping))
 
