@@ -175,11 +175,12 @@ def test_unwritable_dot_prints_no_result(tmp_path, capsys):
         assert "error:" in captured.err
 
 
-def test_failed_dot_rendering_leaves_no_file(tmp_path, capsys, monkeypatch):
-    def no_memory(*args):
-        raise MemoryError
+def _no_memory(*args):
+    raise MemoryError
 
-    monkeypatch.setattr(cli, "export_dot", no_memory)
+
+def test_failed_dot_rendering_leaves_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "export_dot", _no_memory)
     for argv in (["construct", CABIN], ["diff", CABIN_BAD]):
         dot_path = tmp_path / "out.dot"
         assert cli_main(argv + ["--dot", str(dot_path)]) == 2
@@ -190,11 +191,8 @@ def test_failed_dot_rendering_leaves_no_file(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_error_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    def no_memory(*args):
-        raise MemoryError
-
-    monkeypatch.setattr(cli, "construct_max_policy", no_memory)
-    monkeypatch.setattr(cli, "compute_diff", no_memory)
+    monkeypatch.setattr(cli, "construct_max_policy", _no_memory)
+    monkeypatch.setattr(cli, "compute_diff", _no_memory)
     for command in ("construct", "diff"):
         dot_path = tmp_path / f"{command}.dot"
         for extra in ([], ["--json"], ["--dot", str(dot_path)]):
