@@ -135,7 +135,7 @@ class HostMapping(Generic[A]):
     def lookup(self, host: HostId) -> A:
         return self.entries.get(host, self.default)
 
-    @cached_property
+    @property
     def _marked(self) -> dict:
         """The *marked* hosts, whose attribute is not the default, each mapped to it."""
         dft = self.default
