@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence, Tuple
 
 from .errors import InvariantRejected, UnknownHost
-from .graph import FlowSet, HostId, Policy, _checked_hosts, _derived_policy, _walk
+from .graph import FlowSet, HostId, Policy, _checked_hosts, _derived_policy, _kept, _walk
 from .invariants import (
     DEFAULT_EDGE_BOUND,
     InvariantInstance,
@@ -33,7 +32,7 @@ class Scenario:
     Attribute configurations may only key hosts of the policy, and every
     template must hold on the flow-less policy (otherwise a violation could
     be unrepairable by tightening, and the tool's whole repair vocabulary
-    would be empty for it).
+    would be empty for it); edge-local ones pass by their per-edge check.
     """
 
     policy: Policy
@@ -46,7 +45,7 @@ class Scenario:
             for host in inst.config:
                 if host not in hosts:
                     raise UnknownHost(host, f"invariants[{index}] ({inst.template.name})")
-            if not check_deny_all_validity(inst, hosts):
+            if inst.template.edge_pred is None and not check_deny_all_validity(inst, hosts):
                 raise InvariantRejected(inst.template.name, "deny-all validity failed")
 
 
@@ -75,18 +74,11 @@ def verify(scenario: Scenario, edge_bound: int = DEFAULT_EDGE_BOUND) -> Verifica
     """
     results = []
     for inst in scenario.invariants:
-        sets = offending_flows(inst, scenario.policy, edge_bound)
+        sets = tuple(offending_flows(inst, scenario.policy, edge_bound))
         template = inst.template
+        blamed = offenders(inst, itertools.chain.from_iterable(sets)) if sets else frozenset()
         # positional: name, strategy, holds, offending, offender_hosts
-        results.append(
-            InvariantResult(
-                template.name,
-                template.strategy,
-                not sets,
-                tuple(sets),
-                offenders(inst, itertools.chain.from_iterable(sets)),
-            )
-        )
+        results.append(InvariantResult(template.name, template.strategy, not sets, sets, blamed))
     return VerificationReport(tuple(results), all(r.holds for r in results))
 
 
@@ -96,24 +88,29 @@ def _forbidden_receivers(
     """The kernel of construct and diff: each host of ``hosts`` mapped to the
     frozenset of receivers it may not reach.  Invariant by invariant, these
     grow by its offending flows, as verify reports them, on the pairs still
-    allowed; monotonicity makes each step final.  An edge-local invariant
-    gives its class table, the same on any policy."""
-    common, own = set(), {}  # what the senders without a row may not reach; the others
+    allowed (monotonicity makes each step final), or by its class blocks."""
+    common, own = set(), {}  # what the hosts without a row may not reach; the rows
     for inst in invariants:
         pred = inst.template.edge_pred
         if pred is not None:
-            rows, rest = pred._forbidden_table(hosts, inst.mapping())
+            blocks, unmarked = pred._forbidden_table(hosts, inst.mapping())
         else:
             so_far = {**dict.fromkeys(hosts, common), **own}
             current = _derived_policy(hosts, frozenset(_walk(hosts, so_far)))
-            rows, rest = {}, ()
-            for s, r in itertools.chain.from_iterable(offending_flows(inst, current, edge_bound)):
-                rows.setdefault(s, set()).add(r)
-        for s, blocked in rows.items():
-            own.setdefault(s, set(common)).update(blocked)
+            flows = itertools.chain.from_iterable(offending_flows(inst, current, edge_bound))
+            blocks, unmarked = [((s,), (r,)) for s, r in flows], None
+        rest = []  # the unmarked class's blocks: they hold for each host of that class
+        for senders, receivers in blocks:
+            if senders is unmarked:
+                rest.append(receivers)
+            else:
+                for s in senders:
+                    own.setdefault(s, set(common)).update(receivers)
         if rest:
+            rest = frozenset().union(*rest)
+            own.update((s, set(common)) for s in hosts.difference(unmarked, own))  # marked, no row
             for s, acc in own.items():
-                if s not in rows:
+                if s in unmarked:
                     acc |= rest
             common |= rest
     return {**dict.fromkeys(hosts, frozenset(common)), **{s: frozenset(b) for s, b in own.items()}}
@@ -157,7 +154,7 @@ class PolicyDiff:
     def sorted_missing(self) -> list:
         return list(self._sorted_missing)
 
-    @cached_property
+    @_kept
     def _sorted_missing(self) -> tuple:
         # sorted once per diff: a command that renders text and DOT reuses it
         return tuple(sorted(self.permitted_missing))

@@ -22,6 +22,13 @@ Flow = Tuple[HostId, HostId]
 FlowSet = frozenset  # frozenset[Flow]; one repair option for a violation
 
 
+class _kept(cached_property):
+    """``cached_property`` without the lock that Python 3.11 takes on each first read."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 @dataclass(frozen=True)
 class Policy:
     """A directed graph of allowed flows.  Every flow endpoint is a host."""
@@ -40,16 +47,15 @@ class Policy:
     def sorted_flows(self) -> list:
         return list(self._sorted_flows)
 
-    @cached_property
+    @_kept
     def _sorted_flows(self) -> tuple:
         # sorted once per policy: a command that renders text and DOT reuses it
         return tuple(sorted(self.flows))
 
-    @cached_property
+    @_kept
     def _incident_flows(self) -> dict:
-        """Each host with a flow, mapped to the flows it sends or receives;
-        a self-flow is listed once.  Built once per policy: verify reads it
-        for each edge-local invariant that configures few of its hosts."""
+        """Each host with a flow, mapped to the flows it sends or receives (a
+        self-flow once); verify reads it for each edge-local invariant marking few hosts."""
         index = {}
         for flow in self.flows:
             s, r = flow
@@ -135,7 +141,7 @@ class HostMapping(Generic[A]):
     def lookup(self, host: HostId) -> A:
         return self.entries.get(host, self.default)
 
-    @property
+    @_kept
     def _marked(self) -> dict:
         """The *marked* hosts, whose attribute is not the default, each mapped to it."""
         dft = self.default

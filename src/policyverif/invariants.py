@@ -11,10 +11,9 @@ a per-edge check for templates whose predicate decomposes into one, from the
 minimal transversals of the template's witnesses (Berge's algorithm) for
 templates that list them, else from a subset enumeration exponential in the
 number of flows; tests hold the first two to exact agreement with the last.
-verify applies the per-edge check to the policy's flows, while construct and
-diff read one table per invariant of which attribute classes may not reach
-which (``EdgePredicate._forbidden_table``); tests hold the two to exact
-agreement, and both apply the one self-flow rule of :class:`EdgePredicate`.
+verify applies the per-edge check to the policy's flows; construct and diff
+read which attribute classes may not reach which (``EdgePredicate``'s table),
+and tests hold the two to exact agreement.
 
 The secure-default checker decides edge-local templates from pairs of
 attributes, a verdict that holds for policies of every size over those
@@ -90,27 +89,25 @@ class EdgePredicate(Generic[A]):
 
     def _forbidden_table(self, hosts: frozenset, mapping: HostMapping) -> tuple:
         """Exactly the flows ``_failing_flows`` yields on the complete graph
-        over ``hosts``, as ``(rows, rest)``: ``rows`` maps some senders to
-        the receivers each may not reach, and ``rest`` is that set for the
-        others.  The check runs once per ordered pair of attribute classes,
-        whose senders share one set unless the self-flow rule exempts each."""
+        over ``hosts``, as ``(blocks, unmarked)``: a block ``(senders,
+        receivers)`` forbids each flow from the one to the other; ``unmarked``
+        is the default attribute's class.  The check runs once per ordered pair
+        of classes, and an exempt class's block to itself is split by sender."""
+        check = self.predicate
         marked = mapping._marked
-        unmarked = hosts.difference(marked)
         grouped = {}
         for h, attr in marked.items():
             if h in hosts:
                 grouped.setdefault(attr, []).append(h)
-        classes = [(a, m) for a, m in [*grouped.items(), (mapping.default, unmarked)] if m]
-        rows, rest = {}, frozenset()
-        for snd, senders in classes:
-            blocked = frozenset().union(*[m for rcv, m in classes if not self.predicate(snd, rcv)])
-            if self.exempt_reflexive and not blocked.isdisjoint(senders):
-                rows.update((s, blocked - {s}) for s in senders)
-            elif senders is unmarked:
-                rest = blocked
-            else:
-                rows.update(dict.fromkeys(senders, blocked))
-        return rows, rest
+        unmarked = hosts.difference(marked)
+        classes = [*grouped.items()]
+        if unmarked:
+            classes.append((mapping.default, unmarked))
+        blocks = [(s, r) for a, s in classes for b, r in classes if not check(a, b)]
+        if self.exempt_reflexive:
+            split = [((h,), [x for x in s if x != h]) for s, r in blocks if s is r for h in s]
+            blocks = [(s, r) for s, r in blocks if s is not r] + split
+        return blocks, unmarked
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ class Template(Generic[A]):
 
     ``evaluate`` must be a pure, deterministic predicate, monotone in the
     flow set (removing flows never breaks a satisfied invariant), and true
-    on every flow-less policy.  Scenario loading checks only the last point;
-    monotonicity is the caller's contract, testable by check_monotonicity.
+    on every flow-less policy (checked on loading unless a per-edge check
+    decides); monotonicity is the caller's contract, testable by check_monotonicity.
     An ``edge_pred`` must decide each flow from its two endpoint attributes
     alone (see :class:`EdgePredicate`).
 

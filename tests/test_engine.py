@@ -37,6 +37,19 @@ def test_scenario_rejects_deny_all_invalid_template():
         pv.Scenario(policy, (inst,))
 
 
+def test_scenario_admits_edge_local_templates_by_their_per_edge_check():
+    # verify decides an edge-local invariant by its per-edge check alone, and
+    # no flow-less policy fails that, so admission does not call evaluate
+    def evaluate(g, mapping):
+        raise AssertionError("evaluate called")
+
+    blp = pv.blp_basic()
+    template = pv.Template("edge_only", blp.strategy, blp.default_attr, evaluate, blp.edge_pred)
+    inst = pv.InvariantInstance(template, {"a": pv.Clearance.secret})
+    report = pv.verify(pv.Scenario(pv.make_policy({"a", "b"}, {("a", "b")}), (inst,)))
+    assert report.results[0].offending == (frozenset({("a", "b")}),)
+
+
 def test_scenario_accepts_cabin():
     scenario = pv.Scenario(pv.deny_all(CABIN_HOSTS), cabin_invariants())
     assert len(scenario.invariants) == 3

@@ -714,6 +714,14 @@ def test_forbidden_pairs_equal_failing_flows_of_allow_all(case):
     assert set(forbidden) == set(edge._failing_flows(pv.allow_all(g.hosts).flows, mapping))
 
 
+def test_forbidden_receivers_cover_only_the_given_hosts():
+    # a configured host outside the policy forms no class of senders or receivers
+    config = {"a": pv.Clearance.secret, "ghost": pv.Clearance.topsecret}
+    inst = pv.InvariantInstance(pv.blp_basic(), config)
+    blocked = _forbidden_receivers(frozenset({"a", "b"}), [inst], pv.DEFAULT_EDGE_BOUND)
+    assert blocked == {"a": frozenset({"b"}), "b": frozenset()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(corpus_cases())
 def test_satisfied_instances_have_no_offending_flows(case):
