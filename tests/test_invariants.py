@@ -602,6 +602,42 @@ def test_unique_default_requires_candidate_in_universe():
         pv.check_unique_default(pv.blp_basic(), ["u"], [pv.Clearance.secret])
 
 
+def test_bounded_search_returns_the_first_counterexample_in_enumeration_order():
+    # exact answers: the search walks policies by size, then assignments in
+    # product order, and returns the first masked violation it meets
+    src, snk, none = pv.ReachRole.src, pv.ReachRole.snk, pv.ReachRole.none
+    hosts = ["u1", "u5", "u9"]
+    reach = pv.no_transitive_access()
+    assert pv.find_secure_default_counterexample(reach, hosts, list(pv.ReachRole), 4, src) is None
+    masked = (
+        pv.make_policy(hosts, {("u1", "u5")}),
+        pv.HostMapping({"u1": src, "u5": snk, "u9": src}, src),
+        frozenset({("u1", "u5")}),
+        "u1",
+    )
+    for candidate in (snk, none):
+        found = pv.find_secure_default_counterexample(reach, hosts, list(pv.ReachRole), 4,
+                                                      candidate)
+        assert found == masked
+    flow = pv.make_policy(["a", "b"], {("a", "b")})
+    flow_set = frozenset({("a", "b")})
+
+    def bounded(template, attrs):
+        return [_bounded_secure_default_counterexample(template, ["a", "b"], attrs, 3, c)
+                for c in attrs]
+
+    clr = pv.Clearance
+    leak = (flow, pv.HostMapping({"a": clr.confidential, "b": clr.unclassified}, clr.unclassified),
+            flow_set, "b")
+    assert bounded(pv.blp_basic(), list(clr)) == [None, leak, leak, leak]
+    role = pv.SgwRole
+    members = (flow, pv.HostMapping({"a": role.memb, "b": role.memb}, role.default), flow_set, "a")
+    to_gateway = (flow, pv.HostMapping({"a": role.default, "b": role.sgw}, role.default),
+                  flow_set, "a")
+    assert list(role) == [role.sgw, role.sgwa, role.memb, role.default]
+    assert bounded(pv.security_gateway(), list(role)) == [members, members, to_gateway, None]
+
+
 # The pairwise decision for edge-local templates against the bounded
 # enumeration it replaces.  The custom templates reach the self-flow rule:
 # with attributes {0, 1} and candidate 0, no cross-host pair is masked, but
