@@ -136,6 +136,19 @@ def self_flow_templates():
     ]
 
 
+def default_fails_templates():
+    """Edge-local templates whose (default, default) pair fails: with
+    attributes {0, 1} and default 0, only a flow touching a host of
+    attribute 1 passes, so every flow must be scanned, and the unmarked
+    hosts' class is blocked to itself (each host's self-flow excepted
+    where the template exempts self-flows)."""
+    return [
+        pv.edge_template(f"default_fails_{exempt}", pv.Strategy.ACS, 0,
+                         lambda a, b: a == 1 or b == 1, exempt)
+        for exempt in (False, True)
+    ]
+
+
 def construct_by_flow_scan(hosts, invariants, edge_bound=pv.DEFAULT_EDGE_BOUND):
     """Reference for construct_max_policy: from allow-all, remove each
     invariant's offending flows on the current remainder, one invariant at a

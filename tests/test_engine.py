@@ -15,6 +15,7 @@ from helpers import (
     c09_instances,
     cabin_invariants,
     construct_by_flow_scan,
+    default_fails_templates,
     random_policy,
     self_flow_templates,
 )
@@ -210,9 +211,10 @@ def test_construct_equals_the_flow_scan_reference():
     # can share the unconfigured hosts' class; the reachability invariant
     # goes before, between and after the edge-local ones, where it must see
     # exactly the remainder their removals left.  Every other case adds a
-    # custom template that rejects self-flows unless it exempts them.
+    # custom template that rejects self-flows unless it exempts them, or
+    # one whose default class is blocked to itself.
     rng = random.Random(404)
-    custom = {template.name: template for template in self_flow_templates()}
+    custom = {t.name: t for t in self_flow_templates() + default_fails_templates()}
     templates = set()
     for case in range(24):
         hosts = [f"h{i}" for i in range(4 if case % 6 == 0 else rng.randint(2, 3))]
@@ -272,7 +274,7 @@ def test_construct_calls_each_edge_predicate_once_per_class_pair():
 
 _NAMES = st.text(alphabet='ab"\\\u00e9\u2192', min_size=1, max_size=3)
 _EDGE_TEMPLATES = [(spec["template"](), spec["attrs"]) for spec in CORPUS.values()] + [
-    (template, [0, 1]) for template in self_flow_templates()
+    (template, [0, 1]) for template in self_flow_templates() + default_fails_templates()
 ]
 
 

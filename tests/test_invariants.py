@@ -17,6 +17,7 @@ from helpers import (
     CORPUS,
     always_false_template,
     assert_def3_conjuncts,
+    default_fails_templates,
     exhaustive_assignments,
     random_policy,
     reach_witnesses_reference,
@@ -218,22 +219,11 @@ def test_fast_path_falls_back_for_path_invariants():
 # ---------------------------------------------------------------------------
 # offending flows, incident-flow route
 
-def _default_fails_templates():
-    """Edge-local templates whose (default, default) pair fails: with
-    attributes {0, 1} and default 0, only a flow touching a host of
-    attribute 1 passes, so every flow must be scanned."""
-    return [
-        pv.edge_template(f"default_fails_{exempt}", pv.Strategy.ACS, 0,
-                         lambda a, b: a == 1 or b == 1, exempt)
-        for exempt in (False, True)
-    ]
-
-
 # (template, attribute universe): the shipped edge-local templates, whose
 # universes hold their defaults, and custom ones with both self-flow rules
 _EDGE_ROUTE_TEMPLATES = (
     [(spec["template"](), spec["attrs"]) for _, spec in sorted(CORPUS.items())]
-    + [(t, [0, 1]) for t in self_flow_templates() + _default_fails_templates()]
+    + [(t, [0, 1]) for t in self_flow_templates() + default_fails_templates()]
 )
 
 
@@ -294,7 +284,7 @@ def test_incident_route_cases_by_hand():
     for template in self_flow_templates():
         _assert_incident_route_agrees(template, {"m1": 1, "out": 0, "idle": 1}, g)
     # a failing (default, default) pair: unconfigured flows fail too
-    for template in _default_fails_templates():
+    for template in default_fails_templates():
         _assert_incident_route_agrees(template, {"m1": 1, "out": 0}, g)
         flows = pv.offending_flows(pv.InvariantInstance(template, {"m1": 1}), g)[0]
         assert ("out", "m2") in flows
