@@ -86,9 +86,10 @@ def _forbidden_receivers(
     hosts: frozenset, invariants: Sequence[InvariantInstance], edge_bound: int
 ) -> dict:
     """The kernel of construct and diff: each host of ``hosts`` mapped to the
-    frozenset of receivers it may not reach.  Invariant by invariant, these
-    grow by its offending flows, as verify reports them, on the pairs still
-    allowed (monotonicity makes each step final), or by its class blocks."""
+    set of receivers it may not reach, returned as built: the hosts without
+    a row share one, and callers only read them.  Invariant by invariant,
+    these grow by its offending flows, as verify reports them, on the pairs
+    still allowed (monotonicity makes each step final), or its class blocks."""
     common, own = set(), {}  # what the hosts without a row may not reach; the rows
     for inst in invariants:
         pred = inst.template.edge_pred
@@ -113,7 +114,7 @@ def _forbidden_receivers(
                 if s in unmarked:
                     acc |= rest
             common |= rest
-    return {**dict.fromkeys(hosts, frozenset(common)), **{s: frozenset(b) for s, b in own.items()}}
+    return {**dict.fromkeys(hosts, common), **own}
 
 
 def construct_max_policy(

@@ -87,11 +87,9 @@ def _derived_policy(hosts: frozenset, flows: frozenset, sorted_flows: tuple = No
 
 def _checked_hosts(hosts: Iterable[HostId]) -> frozenset:
     hostset = frozenset(hosts)
-    # the whole check runs in C; the loop only finds the name to report
-    if "" in hostset or not all(map(isinstance, hostset, repeat(str))):
-        for h in hostset:
-            if not isinstance(h, str) or not h:
-                raise ValueError(f"host names must be non-empty strings, got {h!r}")
+    for h in hostset:
+        if not isinstance(h, str) or not h:
+            raise ValueError(f"host names must be non-empty strings, got {h!r}")
     return hostset
 
 
@@ -100,7 +98,7 @@ def make_policy(hosts: Iterable[HostId], flows: Iterable[Flow]) -> Policy:
     return Policy(_checked_hosts(hosts), frozenset((s, r) for s, r in flows))
 
 
-def _walk(hosts: frozenset, blocked: Mapping[HostId, frozenset]) -> list:
+def _walk(hosts: frozenset, blocked: Mapping[HostId, set]) -> list:
     """Every ordered pair of ``hosts`` whose receiver is not in its sender's
     ``blocked`` set, sorted: senders in order, each one's receivers in order."""
     order = sorted(hosts)

@@ -376,20 +376,21 @@ def _bounded_secure_default_counterexample(
 ):
     """The first masked violation in enumeration order, over every policy on
     ``host_universe`` with at most ``edge_bound`` flows and every total
-    mapping into ``attr_universe``, or None.  A sound falsifier and, within
-    the given universes, a verifier; it cannot speak for larger policies or
-    attribute domains."""
+    mapping into ``attr_universe``, or None: policies by size, then
+    assignments in product order, each mapping built once for every policy.
+    A sound falsifier and, within the given universes, a verifier; it cannot
+    speak for larger policies or attribute domains."""
     bare = InvariantInstance(template)  # offenders reads only its template
     hosts = sorted(host_universe)
+    combos = itertools.product(attr_universe, repeat=len(hosts))
+    mappings = [HostMapping(dict(zip(hosts, combo)), template.default_attr) for combo in combos]
     for g in _policies_on(hosts, edge_bound):
-        for combo in itertools.product(attr_universe, repeat=len(hosts)):
-            assignment = dict(zip(hosts, combo))
-            mapping = HostMapping(assignment, template.default_attr)
+        for mapping in mappings:
             blamed = frozenset()
             for flow_set in _offending_sets(template, g, mapping, edge_bound):
                 blamed_here = offenders(bare, flow_set)
                 for v in sorted(blamed_here - blamed):
-                    remapped = HostMapping({**assignment, v: candidate}, template.default_attr)
+                    remapped = HostMapping({**mapping.entries, v: candidate}, mapping.default)
                     if template.evaluate(g, remapped):
                         return g, mapping, flow_set, v
                 blamed |= blamed_here
