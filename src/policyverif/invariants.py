@@ -16,10 +16,12 @@ read which attribute classes may not reach which (``EdgePredicate``'s table),
 and tests hold the two to exact agreement.
 
 The secure-default checker decides edge-local templates from pairs of
-attributes, a verdict that holds for policies of every size over those
-attributes; other templates get an enumeration of every policy and mapping
-of bounded universes, which says nothing beyond the bound.  Tests hold the
-pairwise decision to exact agreement with the enumeration.
+attributes, and a template with a ``default_counterexample`` (such as
+``no_transitive_access``) by its own rule; both verdicts hold for policies
+of every size over the given attributes.  Other templates get an
+enumeration of every policy and mapping of bounded universes, which says
+nothing beyond the bound.  Tests hold both exact decisions to exact
+agreement with the enumeration.
 """
 
 from __future__ import annotations
@@ -126,6 +128,16 @@ class Template(Generic[A]):
     ``g`` violates the invariant exactly when it contains some W.  The
     minimal repair sets are then the minimal flow sets that meet every W.
     Extra witnesses that contain another one change nothing.
+
+    ``default_counterexample``, for a template without an ``edge_pred``,
+    decides its secure defaults exactly: called as
+    ``(template, host_universe, attr_universe, edge_bound, candidate)``, it
+    returns a masked violation, or None when ``candidate`` masks none in a
+    policy of any size over ``attr_universe``.  Wherever the bounded search
+    of :func:`find_secure_default_counterexample` can build a counterexample,
+    the hook returns that search's first one.  It reads ``evaluate``'s
+    meaning, so a ``dataclasses.replace`` copy whose ``evaluate`` means
+    something else must drop it; a wrapper that only counts calls may keep it.
     """
 
     name: str
@@ -134,6 +146,7 @@ class Template(Generic[A]):
     evaluate: Callable[[Policy, HostMapping], bool]
     edge_pred: Optional[EdgePredicate] = None
     witnesses: Optional[Callable[[Policy, HostMapping], Iterable[FlowSet]]] = None
+    default_counterexample: Optional[Callable[..., Optional[tuple]]] = None
 
 
 def edge_template(
@@ -426,19 +439,22 @@ def _pairwise_secure_default_counterexample(
         for a in attr_universe:
             for b in attr_universe:
                 if not check(a, b) and (check(candidate, b) if acs else check(a, candidate)):
-                    return _single_flow_witness(template, hosts, hosts[1], a, b, acs)
+                    return _single_flow_witness(template, hosts, hosts[1], a, b, acs, a)
     if not edge.exempt_reflexive and check(candidate, candidate):
         for a in attr_universe:
             if not check(a, a):
-                return _single_flow_witness(template, hosts, hosts[0], a, a, acs)
+                return _single_flow_witness(template, hosts, hosts[0], a, a, acs, a)
     return None
 
 
-def _single_flow_witness(template: Template, hosts: list, receiver: HostId, a, b, acs: bool):
+def _single_flow_witness(
+    template: Template, hosts: list, receiver: HostId, a, b, acs: bool, rest
+):
     """The policy with the one flow ``hosts[0] -> receiver``, whose sender
-    has attribute ``a`` and receiver ``b``; every other host gets ``a``."""
+    has attribute ``a`` and receiver ``b``; every other host gets ``rest``."""
     sender = hosts[0]
-    assignment = dict.fromkeys(hosts, a)
+    assignment = dict.fromkeys(hosts, rest)
+    assignment[sender] = a
     assignment[receiver] = b
     flow_set = frozenset({(sender, receiver)})
     g = _derived_policy(frozenset(hosts), flow_set)
@@ -466,15 +482,18 @@ def find_secure_default_counterexample(
     For edge-local templates the decision comes from attribute pairs, and
     its verdict holds for policies of every size over ``attr_universe``;
     the counterexample is a single-flow policy between the first two
-    sorted hosts, or a self-flow of the first.  Other templates take the
-    bounded enumeration, which returns the first counterexample in
-    enumeration order and cannot speak for larger policies or attribute
+    sorted hosts, or a self-flow of the first.  A template with a
+    ``default_counterexample`` decides by it, as exactly.  Other templates
+    take the bounded enumeration, which returns the first counterexample
+    in enumeration order and cannot speak for larger policies or attribute
     domains.
     """
     if candidate is None:
         candidate = template.default_attr
     if template.edge_pred is not None:
         route = _pairwise_secure_default_counterexample
+    elif template.default_counterexample is not None:
+        route = template.default_counterexample
     else:
         route = _bounded_secure_default_counterexample
     return route(template, host_universe, attr_universe, edge_bound, candidate)
@@ -489,7 +508,8 @@ def check_secure_default(
 ) -> bool:
     """True when no counterexample shows the default masking a violation.
 
-    Exact for edge-local templates; otherwise exhaustive within the bounded
+    Exact for edge-local templates and for templates with a
+    ``default_counterexample``; otherwise exhaustive within the bounded
     universes of :func:`find_secure_default_counterexample`.
     """
     return (

@@ -13,7 +13,8 @@ Shipped templates:
   central gateway; a fixed role table decides each sender/receiver pair.
 * ``no_transitive_access`` -- a reachability invariant (designated source
   hosts must not reach designated sink hosts over any path).  It has no
-  per-edge structure; its repair sets come from its source-to-sink paths.
+  per-edge structure; its repair sets come from its source-to-sink paths,
+  and its secure default is decided by a rule of its own.
 
 Each template is described once, by its entry in ``TEMPLATE_REGISTRY`` at
 the end of this module: the template, the parse/format codec of its attribute
@@ -29,7 +30,7 @@ from enum import Enum, IntEnum
 from typing import Callable, Iterator
 
 from .graph import HostMapping, Policy
-from .invariants import Strategy, Template, edge_template
+from .invariants import Strategy, Template, _single_flow_witness, edge_template
 
 
 def _enum_codec(cls) -> tuple:
@@ -342,12 +343,42 @@ def _no_reach_witnesses(g: Policy, mapping: HostMapping) -> Iterator[frozenset]:
                 stack.append((nxt, flows, on_path | {nxt}))
 
 
+def _no_reach_default_counterexample(template, host_universe, attr_universe, edge_bound, candidate):
+    """A violation that ``candidate`` masks, decided for policies of every size.
+
+    A blamed host sends a flow of a minimal repair set.  That flow lies on a
+    witness path, and every sender on such a path is a source or a ``none``
+    host, never a sink.  Remapping it to ``src`` keeps every sink and adds a
+    source, and reachability from more sources only grows, so the violation
+    stays: ``src`` masks nothing.  Any other candidate masks the one flow
+    from a source to a sink, whose blamed sender stops being a source; this
+    needs two hosts, one flow within ``edge_bound``, and both ``src`` and
+    ``snk`` in ``attr_universe``, else no violation exists.  The flow runs
+    from the first sorted host to the second, every other host gets the
+    universe's first attribute, and so it is the bounded search's first
+    counterexample.
+    """
+    hosts = sorted(set(host_universe))
+    if (
+        candidate is ReachRole.src
+        or edge_bound < 1
+        or len(hosts) < 2
+        or ReachRole.src not in attr_universe
+        or ReachRole.snk not in attr_universe
+    ):
+        return None
+    return _single_flow_witness(
+        template, hosts, hosts[1], ReachRole.src, ReachRole.snk, True, attr_universe[0]
+    )
+
+
 _NO_TRANSITIVE_ACCESS = Template(
     "no_transitive_access",
     Strategy.ACS,
     ReachRole.src,
     _no_reach_evaluate,
     witnesses=_no_reach_witnesses,
+    default_counterexample=_no_reach_default_counterexample,
 )
 
 

@@ -196,6 +196,13 @@ def test_c05_secure_and_unique_defaults():
     assert pv.check_secure_default(
         template, ["u", "v", "w", "x"], list(pv.ReachRole), edge_bound=3
     )
+    # decided exactly, so unique at every size and secure past the enumeration
+    assert pv.check_unique_default(template, three_hosts, list(pv.ReachRole), edge_bound=4)
+    assert pv.check_unique_default(
+        template, ["u", "v", "w", "x"], list(pv.ReachRole), edge_bound=4
+    )
+    eight_hosts = [f"u{i}" for i in range(8)]
+    assert pv.check_secure_default(template, eight_hosts, list(pv.ReachRole), edge_bound=4)
 
     assert time.perf_counter() - started < 300.0
 

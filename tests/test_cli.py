@@ -372,6 +372,27 @@ def test_selftest_checks_the_witness_route(capsys, monkeypatch):
     assert all(check.endswith(": ok") for checks in sections.values() for check in checks)
 
 
+def test_selftest_checks_a_template_s_own_default_decision(capsys, monkeypatch):
+    # a registered copy whose default rule finds no counterexample for any
+    # candidate: its default still reads as secure, but the rule no longer
+    # gives the bounded search's answer for snk and none
+    reach = pv.TEMPLATE_REGISTRY["no_transitive_access"]
+    blind = dataclasses.replace(
+        reach.template, name="blind_default", default_counterexample=lambda *args: None
+    )
+    monkeypatch.setitem(
+        pv.TEMPLATE_REGISTRY, blind.name, dataclasses.replace(reach, template=blind)
+    )
+    assert cli_main(["selftest", "--trials", "2"]) == 1
+    sections = _selftest_sections(capsys.readouterr().out)
+    label = "  secure default (2-host universe): "
+    assert label + "FAILED" in sections.pop(blind.name)
+    assert label + "ok" in sections["no_transitive_access"]
+    assert list(sections)[-1] == "selftest: FAILED" and sections.pop("selftest: FAILED") == []
+    assert set(sections) == set(pv.TEMPLATE_REGISTRY) - {blind.name}
+    assert all(check.endswith(": ok") for checks in sections.values() for check in checks)
+
+
 def test_selftest_rejects_garbage_seed(capsys, monkeypatch):
     monkeypatch.setenv("POLICY_VERIF_SEED", "not-a-number")
     assert cli_main(["selftest", "--trials", "1"]) == 2
@@ -473,6 +494,21 @@ _JSON_VALUES = st.recursive(
 @given(_JSON_VALUES)
 def test_json_encoder_matches_json_dumps(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_pairs_encode_each_name_once_per_side(monkeypatch):
+    names = ['q"s', "b\\a", "é", "\U0001f600", "x"]
+    pairs = [(s, r) for s in names for r in names]
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counted)
+    assert cli._json({"flows": pairs}) == json.dumps({"flows": pairs}, indent=2)
+    # the key, then each name once as a sender and once as a receiver
+    assert sorted(calls) == sorted(["flows", *names, *names])
 
 
 # Golden documents: the stdout of each command, committed byte for byte, most

@@ -688,6 +688,80 @@ def test_self_flow_rule_decides_the_custom_templates():
             assert found[2] == frozenset({("u", "u")})
 
 
+# no_transitive_access decides its default by its own rule.  Where the bounded
+# enumeration can run, the rule must give its exact answer, counterexample
+# included; past that, every counterexample must still be a real masked
+# violation, and src must mask nothing on larger policies.
+def _reach_universes():
+    """Every ordering of every non-empty subset of ``ReachRole``."""
+    roles = list(pv.ReachRole)
+    for k in range(1, len(roles) + 1):
+        yield from (list(p) for p in itertools.permutations(roles, k))
+
+
+def test_reach_default_rule_equals_the_bounded_enumeration():
+    reach = pv.no_transitive_access()
+    none_default = dataclasses.replace(reach, default_attr=pv.ReachRole.none)
+    checked = 0
+    for host_count in (1, 2, 3):
+        hosts = [f"h{i}" for i in range(host_count)]
+        for edge_bound in range(6):
+            for attrs in _reach_universes():
+                for candidate in pv.ReachRole:
+                    found = pv.find_secure_default_counterexample(
+                        reach, hosts, attrs, edge_bound, candidate
+                    )
+                    assert found == _bounded_secure_default_counterexample(
+                        reach, hosts, attrs, edge_bound, candidate
+                    ), (host_count, edge_bound, attrs, candidate)
+                    checked += 1
+    assert checked == 810
+    # the rule reads its template's default only to build the mapping, so a
+    # copy with another default keeps it and still agrees
+    hosts = ["h0", "h1", "h2"]
+    for candidate in pv.ReachRole:
+        assert pv.find_secure_default_counterexample(
+            none_default, hosts, list(pv.ReachRole), 3, candidate
+        ) == _bounded_secure_default_counterexample(
+            none_default, hosts, list(pv.ReachRole), 3, candidate
+        )
+
+
+def test_reach_default_rule_beyond_the_enumeration():
+    reach = pv.no_transitive_access()
+    for host_count in range(4, 9):
+        hosts = [f"h{i}" for i in range(host_count)]
+        for edge_bound in range(6):
+            for attrs in _reach_universes():
+                for candidate in pv.ReachRole:
+                    found = pv.find_secure_default_counterexample(
+                        reach, hosts, attrs, edge_bound, candidate
+                    )
+                    if found is not None:
+                        _assert_masking_witness(reach, hosts, attrs, edge_bound, candidate, found)
+                    violable = edge_bound >= 1 and {pv.ReachRole.src, pv.ReachRole.snk} <= set(attrs)
+                    assert (found is not None) == (violable and candidate is not pv.ReachRole.src)
+        assert pv.check_unique_default(reach, hosts, list(pv.ReachRole), 4)
+
+
+def test_src_masks_no_violation_on_larger_policies():
+    # the rule's argument, checked on random policies of up to 8 hosts: every
+    # blamed host remapped to src leaves the policy violated
+    reach = pv.no_transitive_access()
+    rng = random.Random(11)
+    blamed = 0
+    for _ in range(300):
+        g = random_policy(rng, max_hosts=8, max_edges=12)
+        inst = pv.InvariantInstance(reach, {h: rng.choice(list(pv.ReachRole)) for h in g.hosts})
+        mapping = inst.mapping()
+        for flow_set in pv.offending_flows(inst, g, edge_bound=64):
+            for host in pv.offenders(inst, flow_set):
+                remapped = pv.HostMapping({**mapping.entries, host: pv.ReachRole.src}, mapping.default)
+                assert not reach.evaluate(g, remapped)
+                blamed += 1
+    assert blamed > 100
+
+
 # ---------------------------------------------------------------------------
 # property tests over the random corpus
 
