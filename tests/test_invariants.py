@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -294,6 +295,115 @@ def test_incident_route_cases_by_hand():
 
 
 # ---------------------------------------------------------------------------
+# evaluate of edge-local templates, marked-pair route
+
+# every shipped edge-local template with its registered universe, and the
+# custom ones with both self-flow rules and with a failing default pair
+_EVALUATE_TEMPLATES = [
+    (entry.template, list(entry.universe))
+    for _, entry in sorted(pv.TEMPLATE_REGISTRY.items())
+    if entry.template.edge_pred is not None
+] + [(t, [0, 1]) for t in self_flow_templates() + default_fails_templates()]
+
+
+def _passes(edge, mapping, flow):
+    """Reference: one flow under the per-edge check, self-flows skipped where exempt."""
+    s, r = flow
+    passed = edge.predicate(mapping.lookup(s), mapping.lookup(r))
+    return passed or (s == r and edge.exempt_reflexive)
+
+
+def _counting_copy(template):
+    """The same template around a predicate that counts its calls in ``calls[0]``."""
+    calls = [0]
+    predicate = template.edge_pred.predicate
+
+    def counted(a, b):
+        calls[0] += 1
+        return predicate(a, b)
+
+    copy = pv.edge_template(
+        template.name, template.strategy, template.default_attr, counted,
+        template.edge_pred.exempt_reflexive,
+    )
+    return copy, calls
+
+
+def _assert_evaluate_agrees(template, config, g):
+    """``evaluate`` equals the full scan on ``g``, on ``g`` without its failing
+    flows, and on that with one failing flow of each kind put back: from a
+    marked host, into one, between two, a self-flow, and between unmarked
+    hosts.  Where the marked-pair route runs, the predicate is called at most
+    once per flow at a marked host, plus once for the default pair."""
+    edge = template.edge_pred
+    mapping = pv.InvariantInstance(template, config).mapping()
+    dft = mapping.default
+    marked = {h for h, attr in config.items() if attr != dft}
+    failing = sorted(f for f in g.flows if not _passes(edge, mapping, f))
+    kinds = {}
+    for s, r in failing:
+        kind = "self" if s == r else (s in marked, r in marked)
+        kinds.setdefault(kind, (s, r))
+    satisfied = g.flows - set(failing)
+    counted, calls = _counting_copy(template)
+    n = len(g.hosts)
+    for flows in [g.flows, satisfied] + [satisfied | {f} for f in kinds.values()]:
+        policy = pv.make_policy(g.hosts, flows)
+        expected = all(_passes(edge, mapping, f) for f in flows)
+        assert template.evaluate(policy, mapping) is expected
+        calls[0] = 0
+        assert counted.evaluate(policy, mapping) is expected
+        if len(flows) > 2 * n and 2 * len(marked) * n < len(flows) and edge.predicate(dft, dft):
+            at_marked = sum(1 for s, r in flows if s in marked or r in marked)
+            assert calls[0] <= 1 + at_marked
+            if expected:
+                assert calls[0] < len(flows)
+
+
+@st.composite
+def _evaluate_cases(draw):
+    template, attrs = draw(st.sampled_from(_EVALUATE_TEMPLATES))
+    dft = template.default_attr
+    hosts = [f"h{i:02d}" for i in range(draw(st.integers(min_value=16, max_value=24)))]
+    density = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    flows = [(s, r) for s in hosts for r in hosts if rnd.random() < density]
+    # sparse: at most an eighth of the hosts marked; dense: any number
+    most = len(hosts) // 8 if draw(st.booleans()) else len(hosts)
+    chosen = draw(st.lists(st.sampled_from(hosts), max_size=most, unique=True))
+    marked_attrs = [a for a in attrs if a != dft]
+    config = {h: draw(st.sampled_from(marked_attrs)) for h in chosen}
+    # hosts configured to the default, and a marked host outside the policy
+    for h in draw(st.lists(st.sampled_from(hosts), max_size=3)):
+        config.setdefault(h, dft)
+    if draw(st.booleans()):
+        config["ghost"] = draw(st.sampled_from(marked_attrs))
+    return template, config, pv.make_policy(hosts, flows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_evaluate_cases())
+def test_edge_evaluate_agrees_with_the_full_scan(case):
+    _assert_evaluate_agrees(*case)
+
+
+def test_edge_evaluate_checks_only_the_marked_pairs_of_a_large_policy():
+    hosts = [f"h{i:02d}" for i in range(40)]
+    g = pv.allow_all(hosts)
+    for template, attrs in _EVALUATE_TEMPLATES:
+        dft = template.default_attr
+        marked = [a for a in attrs if a != dft]
+        config = {"h00": marked[0], "h07": marked[-1], "h08": dft, "ghost": marked[0]}
+        _assert_evaluate_agrees(template, config, g)
+    # a satisfied policy of 1600 flows: the default pair and the 159 flows at h00
+    inst = pv.InvariantInstance(pv.blp_basic(), {"h00": pv.Clearance.secret})
+    satisfied = satisfied_variant(inst, g)
+    counted, calls = _counting_copy(pv.blp_basic())
+    assert counted.evaluate(satisfied, inst.mapping())
+    assert calls[0] == 1 + sum(1 for f in satisfied.flows if "h00" in f)
+
+
+# ---------------------------------------------------------------------------
 # offending flows, witness route
 
 def _reaches(flows, starts, targets):
@@ -500,6 +610,46 @@ def test_monotonicity_zero_trials_is_vacuous():
     inst = pv.InvariantInstance(pv.blp_basic(), {"a": pv.Clearance.secret})
     g = pv.make_policy({"a", "b"}, {("a", "b")})
     assert pv.check_monotonicity(inst, g, trials=0, seed=0) is True
+
+
+def _recording_template(seen):
+    """A monotone template that records the flows of each policy it evaluates."""
+
+    def evaluate(g, mapping):
+        seen.append(g.flows)
+        return True
+
+    return pv.Template("recording", pv.Strategy.ACS, None, evaluate)
+
+
+def test_monotonicity_draws_are_seeded_sub_policies_keeping_each_flow_half_the_time():
+    g = pv.allow_all([f"h{i}" for i in range(8)])
+    runs = []
+    for _ in range(2):
+        seen = []
+        assert pv.check_monotonicity(pv.InvariantInstance(_recording_template(seen)), g, 2000, 3)
+        runs.append(seen[1:])  # the first call evaluates g itself
+    assert runs[0] == runs[1]
+    draws = runs[0]
+    assert len(g.flows) == 64 and len(draws) == 2000
+    assert all(isinstance(d, frozenset) and d <= g.flows for d in draws)
+    kept = Counter(f for d in draws for f in d)
+    assert all(0.4 <= kept[f] / len(draws) <= 0.6 for f in g.flows)
+
+
+def test_monotonicity_refutes_a_template_false_on_exactly_three_flows():
+    not_three = pv.Template(
+        "not_three", pv.Strategy.ACS, None, lambda g, mapping: len(g.flows) != 3
+    )
+    inst = pv.InvariantInstance(not_three, {})
+    g = pv.make_policy(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a"), ("b", "a"), ("c", "b")]
+    )
+    for seed in range(10):
+        counterexample = pv.find_monotonicity_counterexample(inst, g, trials=32, seed=seed)
+        assert counterexample is not None and len(counterexample) == 3, seed
+        assert counterexample <= g.flows
+        assert counterexample == pv.find_monotonicity_counterexample(inst, g, 32, seed)
 
 
 def test_monotonicity_counterexample_for_non_monotone_predicate():
